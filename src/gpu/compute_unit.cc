@@ -1,12 +1,13 @@
 #include "gpu/compute_unit.hh"
 
 #include <algorithm>
-#include <cmath>
-#include <cstring>
+#include <bit>
 
 #include "gpu/coalescer.hh"
 #include "inject/fault.hh"
 #include "isa/encoding.hh"
+#include "isa/eval.hh"
+#include "isa/simd.hh"
 #include "sim/logging.hh"
 
 #ifdef LAZYGPU_CHECK
@@ -15,27 +16,6 @@
 
 namespace lazygpu
 {
-
-namespace
-{
-
-float
-asF(std::uint32_t bits)
-{
-    float f;
-    std::memcpy(&f, &bits, sizeof(f));
-    return f;
-}
-
-std::uint32_t
-asU(float f)
-{
-    std::uint32_t bits;
-    std::memcpy(&bits, &f, sizeof(bits));
-    return bits;
-}
-
-} // namespace
 
 namespace
 {
@@ -232,22 +212,6 @@ ComputeUnit::tick()
             return;
         }
     }
-    if (cyc_) {
-        tickAccounted(now);
-        return;
-    }
-    for (unsigned s = 0; s < cfg_.simdPerCu; ++s) {
-        if (simd_busy_[s] > now || ready_per_simd_[s] == 0)
-            continue;
-        Wavefront *wave = pickWave(s);
-        if (wave)
-            executeOne(*wave, s);
-    }
-}
-
-void
-ComputeUnit::tickAccounted(Tick now)
-{
     bool busy = false;
     for (unsigned s = 0; s < cfg_.simdPerCu; ++s) {
         if (simd_busy_[s] > now) {
@@ -256,12 +220,13 @@ ComputeUnit::tickAccounted(Tick now)
         }
         if (ready_per_simd_[s] == 0)
             continue;
-        Wavefront *wave = pickWave(s);
-        if (wave) {
+        if (Wavefront *wave = pickWave(s)) {
             executeOne(*wave, s);
             busy = true;
         }
     }
+    if (!cyc_)
+        return;
     cyc_->chargeCycle(busy ? cycacct::Bucket::Busy
                            : cycacct::Bucket::ScoreboardWait,
                       now);
@@ -341,23 +306,6 @@ ComputeUnit::setDispatchExhausted(bool exhausted)
     restallIfQuiescent();
 }
 
-std::uint32_t
-ComputeUnit::readSrc(const Wavefront &wave, const Src &s,
-                     unsigned lane) const
-{
-    switch (s.kind) {
-      case SrcKind::VReg:
-        return wave.vreg(s.value, lane);
-      case SrcKind::SReg:
-        return wave.sregs[s.value];
-      case SrcKind::Imm:
-        return s.value;
-      case SrcKind::None:
-        return 0;
-    }
-    return 0;
-}
-
 void
 ComputeUnit::executeOne(Wavefront &wave, unsigned simd)
 {
@@ -404,64 +352,14 @@ void
 ComputeUnit::executeScalar(Wavefront &wave, const Instruction &inst)
 {
     ++salu_insts_;
-    const std::uint32_t a = readSrc(wave, inst.src0, 0);
-    const std::uint32_t b = readSrc(wave, inst.src1, 0);
-
-    switch (inst.op) {
-      case Opcode::SMov:
-        wave.sregs[inst.dst] = a;
-        break;
-      case Opcode::SAddU32:
-        wave.sregs[inst.dst] = a + b;
-        break;
-      case Opcode::SMulU32:
-        wave.sregs[inst.dst] = a * b;
-        break;
-      case Opcode::SCmpLtU32:
-        wave.scc = a < b;
-        break;
-      case Opcode::SCBranch1:
-        wave.pc = wave.scc ? static_cast<unsigned>(inst.target)
-                           : wave.pc + 1;
-        return;
-      case Opcode::SCBranch0:
-        wave.pc = !wave.scc ? static_cast<unsigned>(inst.target)
-                            : wave.pc + 1;
-        return;
-      case Opcode::SBranch:
-        wave.pc = static_cast<unsigned>(inst.target);
-        return;
-      case Opcode::SEndpgm:
+    const isa::ScalarOutcome out =
+        isa::evalScalar(inst, readSrc(wave, inst.src0, 0),
+                        readSrc(wave, inst.src1, 0), wave.sregs, wave.scc,
+                        wave.pc);
+    panic_if(out == isa::ScalarOutcome::Unknown,
+             "unhandled scalar opcode %s", opcodeName(inst.op).c_str());
+    if (out == isa::ScalarOutcome::End)
         retire(wave);
-        return;
-      default:
-        panic("unhandled scalar opcode %s", opcodeName(inst.op).c_str());
-    }
-    ++wave.pc;
-}
-
-bool
-ComputeUnit::counterpartZero(const Wavefront &wave,
-                             const Instruction &inst, unsigned reg,
-                             unsigned lane) const
-{
-    // The counterpart operand of each otimes source (Sec 4.3): the
-    // result is unaffected by src0's value in lanes where src1 is zero,
-    // and vice versa.
-    if (!isOtimes(inst.op) || !hasOtimesElimination(mode_))
-        return false;
-    const Src *other = nullptr;
-    if (inst.src0.kind == SrcKind::VReg && inst.src0.value == reg)
-        other = &inst.src1;
-    else if (inst.src1.kind == SrcKind::VReg && inst.src1.value == reg)
-        other = &inst.src0;
-    if (!other || other->kind == SrcKind::None)
-        return false;
-    if (other->kind == SrcKind::VReg &&
-        wave.regState(other->value, lane) != RegState::Ready) {
-        return false; // counterpart value unknown: cannot suspend
-    }
-    return readSrc(wave, *other, lane) == 0;
 }
 
 void
@@ -469,16 +367,18 @@ ComputeUnit::trySuspend(Wavefront &wave, const Instruction &inst,
                         unsigned reg)
 {
     PendingLoad *pl = wave.pendingFor(reg);
-    if (!pl || !wave.anyNotReady(reg))
+    if (!pl)
         return;
-    for (unsigned lane = 0; lane < wavefrontSize; ++lane) {
-        if (wave.regState(reg, lane) != RegState::Pending)
-            continue;
-        if (!counterpartZero(wave, inst, reg, lane))
-            continue;
-        wave.setRegState(reg, lane, RegState::Suspended);
-        ++lanes_suspended_;
-        lifecycle_.suspended(engine_.now() - pl->recordTick);
+    const LaneMask to_suspend =
+        wave.pendingMask(reg) & zeroCounterpartLanes(wave, inst, reg, mode_);
+    if (!to_suspend)
+        return;
+    wave.suspendLanes(reg, to_suspend);
+    lanes_suspended_ += std::popcount(to_suspend);
+    const Tick age = engine_.now() - pl->recordTick;
+    for (LaneMask t = to_suspend; t; t &= t - 1) {
+        const unsigned lane = std::countr_zero(t);
+        lifecycle_.suspended(age);
         if (auto *tx = pl->txFor(pl->wordAddr(reg - pl->firstDst, lane)))
             tx->hadSuspended = true;
     }
@@ -566,32 +466,10 @@ bool
 ComputeUnit::ensureReady(Wavefront &wave, const Instruction &inst,
                          const std::vector<unsigned> &regs)
 {
-    bool any_busy = false;
-    for (unsigned reg : regs) {
-        if (!wave.anyNotReady(reg))
-            continue; // every lane Ready: skip the per-lane scan
-        for (unsigned lane = 0; lane < wavefrontSize; ++lane) {
-            switch (wave.regState(reg, lane)) {
-              case RegState::Ready:
-                break;
-              case RegState::InFlight:
-              case RegState::Pending:
-                any_busy = true;
-                break;
-              case RegState::Suspended:
-                if (!counterpartZero(wave, inst, reg, lane)) {
-                    if (cfg_.injectSkipSuspendRequalify)
-                        break; // injected fault: lane wrongly reads as 0
-                    // Requalify: the data is needed after all.
-                    wave.setRegState(reg, lane, RegState::Pending);
-                    any_busy = true;
-                }
-                break;
-            }
-        }
-    }
-    if (!any_busy)
+    if (!requalifyOperands(wave, inst, regs, mode_,
+                           cfg_.injectSkipSuspendRequalify)) {
         return true;
+    }
 
     // The stall point: bundle-issue everything the next instructions
     // will touch (with optimization (2) filtering), then wait for
@@ -647,113 +525,14 @@ ComputeUnit::executeValu(Wavefront &wave, const Instruction &inst)
 
     ++valu_insts_;
 
-    auto read = [&](const Src &s, unsigned lane) -> std::uint32_t {
-        // A (2)-suspended lane is read as zero; by construction its value
-        // cannot affect the result (counterpart operand is zero).
-        if (s.kind == SrcKind::VReg &&
-            wave.regState(s.value, lane) == RegState::Suspended) {
-            return 0;
-        }
-        return readSrc(wave, s, lane);
-    };
-
-    for (unsigned lane = 0; lane < wavefrontSize; ++lane) {
-        const std::uint32_t a = read(inst.src0, lane);
-        const std::uint32_t b = read(inst.src1, lane);
-        std::uint32_t out = 0;
-        switch (inst.op) {
-          case Opcode::VMov:
-            out = a;
-            break;
-          case Opcode::VAddF32:
-            out = asU(asF(a) + asF(b));
-            break;
-          case Opcode::VSubF32:
-            out = asU(asF(a) - asF(b));
-            break;
-          case Opcode::VMulF32:
-            out = asU(asF(a) * asF(b));
-            break;
-          case Opcode::VMacF32:
-            out = asU(asF(wave.vreg(inst.dst, lane)) + asF(a) * asF(b));
-            break;
-          case Opcode::VMaxF32:
-            out = asU(std::max(asF(a), asF(b)));
-            break;
-          case Opcode::VMinF32:
-            out = asU(std::min(asF(a), asF(b)));
-            break;
-          case Opcode::VRcpF32:
-            out = asU(1.0f / asF(a));
-            break;
-          case Opcode::VSqrtF32:
-            out = asU(std::sqrt(asF(a)));
-            break;
-          case Opcode::VCmpGtF32:
-            out = asU(asF(a) > asF(b) ? 1.0f : 0.0f);
-            break;
-          case Opcode::VCmpLtF32:
-            out = asU(asF(a) < asF(b) ? 1.0f : 0.0f);
-            break;
-          case Opcode::VAddU32:
-            out = a + b;
-            break;
-          case Opcode::VSubU32:
-            out = a - b;
-            break;
-          case Opcode::VMulU32:
-            out = a * b;
-            break;
-          case Opcode::VShlU32:
-            out = a << (b & 31);
-            break;
-          case Opcode::VShrU32:
-            out = a >> (b & 31);
-            break;
-          case Opcode::VAndB32:
-            out = a & b;
-            break;
-          case Opcode::VOrB32:
-            out = a | b;
-            break;
-          case Opcode::VXorB32:
-            out = a ^ b;
-            break;
-          case Opcode::VCmpEqU32:
-            out = (a == b) ? 1u : 0u;
-            break;
-          case Opcode::VMinU32:
-            out = std::min(a, b);
-            break;
-          case Opcode::VCvtF32U32:
-            out = asU(static_cast<float>(a));
-            break;
-          case Opcode::VThreadId:
-            out = wave.wid() * wavefrontSize + lane;
-            break;
-          case Opcode::VLaneId:
-            out = lane;
-            break;
-          default:
-            panic("unhandled VALU opcode %s", opcodeName(inst.op).c_str());
-        }
-        wave.setVreg(inst.dst, lane, out);
-    }
+    // Every operand lane is now Ready or (correctly) Suspended; VMacF32's
+    // accumulator, the destination plane, is read raw.
+    std::uint32_t *dst = wave.valueRow(inst.dst);
+    panic_if(!isa::evalValuPlane(inst.op, dst, planeSrc(wave, inst.src0),
+                                 planeSrc(wave, inst.src1), wave.wid()),
+             "unhandled VALU opcode %s", opcodeName(inst.op).c_str());
+    wave.setZeroMask(inst.dst, isa::zeroLanes(dst));
     ++wave.pc;
-}
-
-std::uint32_t
-ComputeUnit::loadWord(Opcode op, Addr addr, unsigned reg_off) const
-{
-    switch (op) {
-      case Opcode::LoadByte:
-        return mem_.readByte(addr);
-      case Opcode::LoadShort:
-        return mem_.readByte(addr) |
-               (static_cast<std::uint32_t>(mem_.readByte(addr + 1)) << 8);
-      default:
-        return mem_.readU32(addr + 4ull * reg_off);
-    }
 }
 
 void
@@ -870,19 +649,26 @@ ComputeUnit::issuePendingLoad(Wavefront &wave, PendingLoad &pl)
     Wavefront *wp = &wave;
     const unsigned first_dst = pl.firstDst;
     const unsigned pl_id = pl.id;
+    // Only EagerZC's short-circuit reads all_zero; the per-word zero
+    // probes are pure overhead for the other modes.
+    const bool probe_zero = mode_ == ExecMode::EagerZC;
 
     for (auto &tx : pl.txs) {
         if (tx.outcome != TxOutcome::Unissued)
             continue;
         bool has_pending = false;
-        bool all_zero = true;
+        bool all_zero = probe_zero;
         for (const auto &[r, lane] : tx.words) {
             RegState st = wave.regState(first_dst + r, lane);
-            if (st == RegState::Pending)
+            if (st == RegState::Pending) {
                 has_pending = true;
-            if (st == RegState::Pending || st == RegState::Suspended) {
-                if (!mem_.isZeroWord(pl.wordAddr(r, lane)))
-                    all_zero = false;
+                if (!probe_zero)
+                    break; // the scan learns nothing else
+            }
+            if (probe_zero &&
+                (st == RegState::Pending || st == RegState::Suspended) &&
+                !mem_.isZeroWord(pl.wordAddr(r, lane))) {
+                all_zero = false;
             }
         }
         if (!has_pending)
@@ -892,7 +678,7 @@ ComputeUnit::issuePendingLoad(Wavefront &wave, PendingLoad &pl)
         // parallel with the data path; if the mask is on hand and every
         // needed word is zero the L2 access is short-circuited -- but
         // the request has already consumed the issue slot and LSU.
-        if (mode_ == ExecMode::EagerZC && all_zero &&
+        if (all_zero &&
             hier_.maskResidentInL1(sa_id_,
                                    GlobalMemory::maskAddr(tx.addr))) {
             ++zc_short_circuits_;
@@ -978,8 +764,8 @@ ComputeUnit::issuePendingLoad(Wavefront &wave, PendingLoad &pl)
                     for (const auto &[r2, l2] : t->words) {
                         if (w.regState(p.firstDst + r2, l2) ==
                             RegState::InFlight) {
-                            std::uint32_t v =
-                                loadWord(p.op, p.laneAddr[l2], r2);
+                            std::uint32_t v = isa::loadRegWord(
+                                mem_, p.op, p.laneAddr[l2], r2);
                             if (inject_) {
                                 v = inject_->filterLoadWord(
                                     engine_.now(), v);
@@ -1317,7 +1103,10 @@ ComputeUnit::corruptLaneBitmap()
     // AND strands the scoreboard word the mark covered (resolveWord
     // skips Ready lanes, so the retire invariant can fire). Gaining a
     // spurious bit (Pending -> Suspended) zeroes a live operand until
-    // the next consumer requalifies it.
+    // the next consumer requalifies it. A mode without optimization (2)
+    // holds no suspension bits, so there is nothing to corrupt.
+    if (!hasOtimesElimination(mode_))
+        return;
     const unsigned want = inject_->laneFromSeed();
     for (const auto &w : waves_) {
         for (unsigned r = 0; r < w->kernel().numVregs; ++r) {
@@ -1340,13 +1129,6 @@ ComputeUnit::corruptLaneBitmap()
                 }
             }
         }
-    }
-    // No live lane metadata on this CU: flip the zero bitmap consulted
-    // by the rabbit executor's suspension decisions instead.
-    if (!waves_.empty()) {
-        Wavefront &w = *waves_.front();
-        w.setZeroMask(0, w.zeroMask(0) ^
-                             (LaneMask(1) << inject_->laneFromSeed()));
     }
 }
 

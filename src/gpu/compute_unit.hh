@@ -107,7 +107,7 @@ class ComputeUnit : public Clocked
     // --- Cycle accounting (CPI stacks, DESIGN.md §16) --------------------
     /**
      * Enable per-CU cycle accounting: registers the bucket counters and
-     * switches tick() to the accounted path. When a sampler is given
+     * makes tick() charge every cycle it runs. When a sampler is given
      * (classic engine only) the account is registered with it so interval
      * snapshots can flush the lazy gap cursor. Must be called before the
      * first tick; off, the cost is one predicted null-pointer branch.
@@ -167,10 +167,6 @@ class ComputeUnit : public Clocked
     void setStatus(Wavefront &wave, WaveStatus s);
     void noteReadyDelta(int delta);
 
-    // --- Operand access ---------------------------------------------------
-    std::uint32_t readSrc(const Wavefront &wave, const Src &s,
-                          unsigned lane) const;
-
     /**
      * Make the given source registers readable, triggering lazy issue
      * and/or optimization (2) suspension as required.
@@ -204,16 +200,9 @@ class ComputeUnit : public Clocked
      */
     void issueSoonNeeded(Wavefront &wave);
 
-    /** Per-lane otimes suspension for one source register of inst. */
+    /** Otimes suspension for one source register of inst. */
     void trySuspend(Wavefront &wave, const Instruction &inst,
                     unsigned reg);
-
-    /**
-     * True when inst is an otimes instruction whose *other* operand is
-     * a known zero in this lane (so reg's value cannot matter).
-     */
-    bool counterpartZero(const Wavefront &wave, const Instruction &inst,
-                         unsigned reg, unsigned lane) const;
     void requestMasks(Wavefront &wave, PendingLoad &pl);
     void onMaskResponse(Wavefront &wave, unsigned pl_id, Addr mask_addr);
     void eliminateForRegs(Wavefront &wave, unsigned first, unsigned nregs);
@@ -231,9 +220,6 @@ class ComputeUnit : public Clocked
     /** Destroy the wavefront if it is Done and fully drained. */
     void maybeFinalize(Wavefront *wave);
 
-    /** Functional load of one register word. */
-    std::uint32_t loadWord(Opcode op, Addr addr, unsigned reg_off) const;
-
     /** This CU's id as a trace track (CU tracks are global CU ids). */
     std::uint16_t traceTrack() const
     {
@@ -241,22 +227,15 @@ class ComputeUnit : public Clocked
     }
 
     /**
-     * LaneBitmapFlip landing: corrupt one lane bit of the zero bitmap
-     * of the first busy register of the first resident wavefront (the
-     * seed picks the lane). Called from tick() after the injector arms.
+     * LaneBitmapFlip landing: flip one lane's (2)-suspension bit of the
+     * first resident register that has one to flip -- a Suspended lane
+     * becomes Ready, else a Pending lane becomes Suspended (the seed
+     * picks the starting lane). Does nothing in a mode without
+     * optimization (2). Called from tick() after the injector arms.
      */
     void corruptLaneBitmap();
 
     // --- Cycle accounting internals --------------------------------------
-    /**
-     * The accounted twin of tick()'s SIMD loop: issues exactly the same
-     * work, then charges the cycle (Busy when any SIMD executed or was
-     * mid-execution, ScoreboardWait otherwise) and classifies the
-     * upcoming gap if the CU just went quiescent. Kept separate so the
-     * accounting-off tick loop stays byte-for-byte untouched.
-     */
-    void tickAccounted(Tick now);
-
     /**
      * Exclusive stall class of a quiescent CU right now (DESIGN.md §16
      * priority order): outstanding data txs -> MshrBackpressure when the

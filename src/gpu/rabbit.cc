@@ -21,28 +21,6 @@ rabbitStat(const char *leaf)
     return std::string("gpu.rabbit.") + leaf;
 }
 
-/** One VALU operand as a register plane (suspended lanes read zero). */
-inline PlaneSrc
-planeSrc(Wavefront &wave, const Src &s)
-{
-    PlaneSrc p;
-    switch (s.kind) {
-      case SrcKind::VReg:
-        p.row = wave.valueRow(s.value);
-        p.zeroed = wave.suspendedMask(s.value);
-        break;
-      case SrcKind::SReg:
-        p.imm = wave.sregs[s.value];
-        break;
-      case SrcKind::Imm:
-        p.imm = s.value;
-        break;
-      case SrcKind::None:
-        break;
-    }
-    return p;
-}
-
 } // namespace
 
 RabbitExecutor::RabbitExecutor(const GpuConfig &cfg, GlobalMemory &mem,
@@ -122,111 +100,29 @@ RabbitExecutor::heartbeat()
         engine_->externalHeartbeat(total_insts_);
 }
 
-std::uint32_t
-RabbitExecutor::readSrc(const Wavefront &wave, const Src &s,
-                        unsigned lane) const
-{
-    switch (s.kind) {
-      case SrcKind::VReg:
-        return wave.vreg(s.value, lane);
-      case SrcKind::SReg:
-        return wave.sregs[s.value];
-      case SrcKind::Imm:
-        return s.value;
-      case SrcKind::None:
-        return 0;
-    }
-    return 0;
-}
-
 void
 RabbitExecutor::execScalar(Wavefront &wave, const Instruction &inst,
                            bool &done)
 {
     ++salu_insts_;
-    const std::uint32_t a = readSrc(wave, inst.src0, 0);
-    const std::uint32_t b = readSrc(wave, inst.src1, 0);
-
-    switch (inst.op) {
-      case Opcode::SMov:
-        wave.sregs[inst.dst] = a;
-        break;
-      case Opcode::SAddU32:
-        wave.sregs[inst.dst] = a + b;
-        break;
-      case Opcode::SMulU32:
-        wave.sregs[inst.dst] = a * b;
-        break;
-      case Opcode::SCmpLtU32:
-        wave.scc = a < b;
-        break;
-      case Opcode::SCBranch1:
-        wave.pc = wave.scc ? static_cast<unsigned>(inst.target)
-                           : wave.pc + 1;
-        return;
-      case Opcode::SCBranch0:
-        wave.pc = !wave.scc ? static_cast<unsigned>(inst.target)
-                            : wave.pc + 1;
-        return;
-      case Opcode::SBranch:
-        wave.pc = static_cast<unsigned>(inst.target);
-        return;
-      case Opcode::SEndpgm:
+    const isa::ScalarOutcome out =
+        isa::evalScalar(inst, readSrc(wave, inst.src0, 0),
+                        readSrc(wave, inst.src1, 0), wave.sregs, wave.scc,
+                        wave.pc);
+    panic_if(out == isa::ScalarOutcome::Unknown,
+             "unhandled scalar opcode %s", opcodeName(inst.op).c_str());
+    if (out == isa::ScalarOutcome::End) {
         retire(wave);
         done = true;
-        return;
-      default:
-        panic("unhandled scalar opcode %s", opcodeName(inst.op).c_str());
     }
-    ++wave.pc;
-}
-
-bool
-RabbitExecutor::counterpartZero(const Wavefront &wave,
-                                const Instruction &inst, unsigned reg,
-                                unsigned lane) const
-{
-    if (!isOtimes(inst.op) || !hasOtimesElimination(mode_))
-        return false;
-    const Src *other = nullptr;
-    if (inst.src0.kind == SrcKind::VReg && inst.src0.value == reg)
-        other = &inst.src1;
-    else if (inst.src1.kind == SrcKind::VReg && inst.src1.value == reg)
-        other = &inst.src0;
-    if (!other || other->kind == SrcKind::None)
-        return false;
-    if (other->kind == SrcKind::VReg &&
-        wave.regState(other->value, lane) != RegState::Ready) {
-        return false; // counterpart value unknown: cannot suspend
-    }
-    return readSrc(wave, *other, lane) == 0;
 }
 
 void
 RabbitExecutor::trySuspend(Wavefront &wave, PendingLoad &pl,
                            const Instruction &inst, unsigned reg)
 {
-    // counterpartZero's per-lane answer as one bitmap expression: the
-    // lane-invariant parts (mode gate, counterpart operand resolution)
-    // hoist out, and the per-lane "counterpart Ready and zero" test is
-    // the counterpart's zero bitmap minus its busy bitmap.
-    if (!hasOtimesElimination(mode_) || !wave.anyNotReady(reg))
-        return;
-    const Src *other = nullptr;
-    if (inst.src0.kind == SrcKind::VReg && inst.src0.value == reg)
-        other = &inst.src1;
-    else if (inst.src1.kind == SrcKind::VReg && inst.src1.value == reg)
-        other = &inst.src0;
-    if (!other || other->kind == SrcKind::None)
-        return;
-    LaneMask zero_other;
-    if (other->kind == SrcKind::VReg) {
-        zero_other =
-            wave.zeroMask(other->value) & ~wave.busyMask(other->value);
-    } else {
-        zero_other = readSrc(wave, *other, 0) == 0 ? allLanes : 0;
-    }
-    const LaneMask to_suspend = wave.pendingMask(reg) & zero_other;
+    const LaneMask to_suspend =
+        wave.pendingMask(reg) & zeroCounterpartLanes(wave, inst, reg, mode_);
     if (!to_suspend)
         return;
     wave.suspendLanes(reg, to_suspend);
@@ -242,49 +138,13 @@ void
 RabbitExecutor::materialize(Wavefront &wave, const Instruction &inst,
                             const std::vector<unsigned> &regs)
 {
-    // ensureReady's requalification pass, on bitmaps. InFlight never
-    // occurs on the rabbit path (issue resolves synchronously), so after
-    // windowIssue below every lane of regs is Ready or correctly
-    // Suspended.
-    bool any_busy = false;
-    for (unsigned reg : regs) {
-        if (!wave.anyNotReady(reg))
-            continue;
-        const LaneMask susp = wave.suspendedMask(reg);
-        if (susp && !cfg_.injectSkipSuspendRequalify) {
-            // counterpartZero over the whole plane: lanes whose
-            // counterpart is still Ready and zero stay suspended, the
-            // rest are needed after all. (With the injected fault the
-            // requalification is skipped and stale lanes wrongly read
-            // as zero, as on the timed path.)
-            LaneMask keep = 0;
-            if (isOtimes(inst.op) && hasOtimesElimination(mode_)) {
-                const Src *other = nullptr;
-                if (inst.src0.kind == SrcKind::VReg &&
-                    inst.src0.value == reg) {
-                    other = &inst.src1;
-                } else if (inst.src1.kind == SrcKind::VReg &&
-                           inst.src1.value == reg) {
-                    other = &inst.src0;
-                }
-                if (other && other->kind == SrcKind::VReg) {
-                    keep = wave.zeroMask(other->value) &
-                           ~wave.busyMask(other->value);
-                } else if (other && other->kind != SrcKind::None) {
-                    keep = readSrc(wave, *other, 0) == 0 ? allLanes : 0;
-                }
-            }
-            const LaneMask requal = susp & ~keep;
-            if (requal) {
-                wave.requalifyLanes(reg, requal);
-                any_busy = true;
-            }
-        }
-        if ((wave.busyMask(reg) & ~wave.suspendedMask(reg)) != 0)
-            any_busy = true;
-    }
-    if (any_busy)
+    // ensureReady's requalification pass. InFlight never occurs on the
+    // rabbit path (issue resolves synchronously), so after windowIssue
+    // every lane of regs is Ready or correctly Suspended.
+    if (requalifyOperands(wave, inst, regs, mode_,
+                          cfg_.injectSkipSuspendRequalify)) {
         windowIssue(wave);
+    }
 }
 
 void
@@ -402,15 +262,13 @@ RabbitExecutor::execValu(Wavefront &wave, const Instruction &inst)
     // After materialize, every operand lane is Ready or (correctly)
     // Suspended, and a suspended lane reads as zero.
     if (!isa::scalarRefEnabled()) {
-        // Vectorized plane path: one opcode dispatch per instruction,
-        // lanes as one dense loop over the contiguous register planes.
-        // Suspended lanes ride along as PlaneSrc::zeroed (VMacF32's
-        // accumulator -- the destination plane -- stays raw, as in the
-        // timed path).
-        const PlaneSrc a = planeSrc(wave, inst.src0);
-        const PlaneSrc b = planeSrc(wave, inst.src1);
+        // The plane core, exactly as in the timed CU: suspended lanes
+        // ride along as PlaneSrc::zeroed, and VMacF32's accumulator --
+        // the destination plane -- stays raw.
         std::uint32_t *dst = wave.valueRow(inst.dst);
-        panic_if(!isa::evalValuPlane(inst.op, dst, a, b, wave.wid()),
+        panic_if(!isa::evalValuPlane(inst.op, dst,
+                                     planeSrc(wave, inst.src0),
+                                     planeSrc(wave, inst.src1), wave.wid()),
                  "unhandled VALU opcode %s", opcodeName(inst.op).c_str());
         wave.setZeroMask(inst.dst, isa::zeroLanes(dst));
         ++wave.pc;

@@ -15,13 +15,14 @@
  * pipeline. Functional state (GlobalMemory, retired register values) is
  * bit-exact with the timed path for race-free kernels.
  *
- * VALU instructions execute on the shared vectorized plane core
- * (isa::evalValuPlane over the Wavefront's contiguous register planes,
- * suspended lanes passed as PlaneSrc::zeroed bitmaps); the
- * LAZYGPU_SCALAR_REF oracle toggle (isa::scalarRefEnabled) routes them
- * through the per-lane scalar interpreter instead. Scoreboard decisions
- * (suspension, requalification, pending probes) are 64-bit bitmap tests
- * on the Wavefront's busy/suspended/zero masks on both paths.
+ * VALU instructions execute on the vectorized plane core shared with
+ * the timed ComputeUnit (isa::evalValuPlane over the Wavefront's
+ * contiguous register planes, suspended lanes passed as
+ * PlaneSrc::zeroed bitmaps); the LAZYGPU_SCALAR_REF environment
+ * variable (isa::scalarRefEnabled) routes them through the per-lane
+ * scalar interpreter instead. Scoreboard decisions (suspension,
+ * requalification, pending probes) are the 64-bit bitmap tests the CU
+ * uses too (gpu/wavefront.hh), on both paths.
  *
  * The one deliberate approximation: memory responses are instantaneous.
  * Zero masks "arrive" at record time (in the timed pipeline they arrive
@@ -92,12 +93,7 @@ class RabbitExecutor
     void execStore(Wavefront &wave, const Instruction &inst);
     void retire(Wavefront &wave);
 
-    std::uint32_t readSrc(const Wavefront &wave, const Src &s,
-                          unsigned lane) const;
-
     // --- Lazy Unit mirror (same rules as ComputeUnit) -------------------
-    bool counterpartZero(const Wavefront &wave, const Instruction &inst,
-                         unsigned reg, unsigned lane) const;
     void trySuspend(Wavefront &wave, PendingLoad &pl,
                     const Instruction &inst, unsigned reg);
 

@@ -20,6 +20,7 @@
 #include <utility>
 #include <vector>
 
+#include "core/exec_mode.hh"
 #include "isa/kernel.hh"
 #include "isa/simd.hh"
 #include "sim/types.hh"
@@ -467,6 +468,77 @@ class Wavefront
 
     friend class ComputeUnit;
 };
+
+// --- Operand access and the otimes tests, shared by both executors -------
+
+/** The value of operand s in one lane (lane 0 for scalar instructions). */
+inline std::uint32_t
+readSrc(const Wavefront &wave, const Src &s, unsigned lane)
+{
+    switch (s.kind) {
+      case SrcKind::VReg:
+        return wave.vreg(s.value, lane);
+      case SrcKind::SReg:
+        return wave.sregs[s.value];
+      case SrcKind::Imm:
+        return s.value;
+      case SrcKind::None:
+        return 0;
+    }
+    return 0;
+}
+
+/**
+ * One VALU operand as a register plane. (2)-suspended lanes read as
+ * zero: by construction their counterpart operand is zero, so their
+ * value cannot affect the result.
+ */
+inline PlaneSrc
+planeSrc(const Wavefront &wave, const Src &s)
+{
+    if (s.kind != SrcKind::VReg)
+        return PlaneSrc{nullptr, readSrc(wave, s, 0), 0};
+    return PlaneSrc{wave.valueRow(s.value), 0, wave.suspendedMask(s.value)};
+}
+
+/**
+ * The otimes counterpart test (Sec 4.3) for source register reg of
+ * inst: the lanes where inst's other source is a Ready zero, so reg's
+ * value cannot affect the result. That is the counterpart register's
+ * zero bitmap minus its busy bitmap, or every lane for a zero scalar or
+ * immediate. Empty unless inst is an otimes instruction reading reg
+ * and mode has optimization (2).
+ */
+inline LaneMask
+zeroCounterpartLanes(const Wavefront &wave, const Instruction &inst,
+                     unsigned reg, ExecMode mode)
+{
+    if (!isOtimes(inst.op) || !hasOtimesElimination(mode))
+        return 0;
+    const Src *other = nullptr;
+    if (inst.src0.kind == SrcKind::VReg && inst.src0.value == reg)
+        other = &inst.src1;
+    else if (inst.src1.kind == SrcKind::VReg && inst.src1.value == reg)
+        other = &inst.src0;
+    if (!other || other->kind == SrcKind::None)
+        return 0;
+    if (other->kind == SrcKind::VReg)
+        return wave.zeroMask(other->value) & ~wave.busyMask(other->value);
+    return readSrc(wave, *other, 0) == 0 ? allLanes : 0;
+}
+
+/**
+ * Requalify inst's operand registers regs before it executes: a
+ * Suspended lane whose counterpart is no longer a Ready zero is needed
+ * after all and goes back to Pending. skip_requalify models the
+ * injected fault that leaves such lanes wrongly reading as zero.
+ *
+ * @return true when some lane of regs is Pending or InFlight, so the
+ *         instruction must wait for memory.
+ */
+bool requalifyOperands(Wavefront &wave, const Instruction &inst,
+                       const std::vector<unsigned> &regs, ExecMode mode,
+                       bool skip_requalify);
 
 } // namespace lazygpu
 

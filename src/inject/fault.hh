@@ -16,8 +16,9 @@
  *  - MemRespDelay  deliver a data response N cycles late (timing-only);
  *  - ZeroMaskFlip  invert one zero-mask probe result inside the Lazy
  *                  Unit's Zero Read Rsp handling (the ZL1 metadata);
- *  - LaneBitmapFlip flip one lane bit of a wavefront's zero bitmap
- *                  (the per-vreg lane metadata driving optimization 2);
+ *  - LaneBitmapFlip flip one lane's optimization-(2) suspension bit
+ *                  (the per-vreg lane metadata); a mode without
+ *                  optimization 2 has no such bit, and nothing happens;
  *  - TxScoreboardFlip corrupt a PendingLoad's words-left scoreboard
  *                  (the retire invariants fire);
  *  - CuStall       freeze the target CU's issue stage for N cycles.

@@ -2,12 +2,13 @@
  * @file
  * Shared functional ISA semantics.
  *
- * One definition of the VALU arithmetic and the per-word load semantics,
- * used by every untimed interpreter (the verification reference executor
- * and the rabbit fast-path executor). The timed ComputeUnit keeps its own
- * switch so the hot pipeline stays self-contained, but the semantics here
- * are the single source of truth the differential checker compares it
- * against.
+ * One definition of the per-lane VALU arithmetic, the scalar
+ * instructions and the per-word load semantics, used by every executor:
+ * the timed ComputeUnit, the rabbit fast-path executor and the
+ * verification reference executor. evalValu is the per-lane
+ * specification that the vectorized plane core (isa/simd.hh), which all
+ * three run VALU instructions on, must match bit for bit; the scalar
+ * reference loop and the rabbit's scalar-oracle branch still run it.
  */
 
 #ifndef LAZYGPU_ISA_EVAL_HH
@@ -17,7 +18,9 @@
 #include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <vector>
 
+#include "isa/instruction.hh"
 #include "isa/opcode.hh"
 #include "mem/memory.hh"
 #include "sim/types.hh"
@@ -106,6 +109,53 @@ evalValu(Opcode op, std::uint32_t a, std::uint32_t b, std::uint32_t acc,
         known = false;
         return 0;
     }
+}
+
+/** What evalScalar did. */
+enum class ScalarOutcome : std::uint8_t
+{
+    Next,    //!< pc moved on: past the instruction, or to a branch target
+    End,     //!< s_endpgm: the wavefront is done, pc is unchanged
+    Unknown, //!< not a scalar opcode: nothing changed
+};
+
+/**
+ * Execute one scalar instruction on a wavefront's scalar state. a and b
+ * are the values of src0 and src1 (lane 0 of a vector operand).
+ */
+inline ScalarOutcome
+evalScalar(const Instruction &inst, std::uint32_t a, std::uint32_t b,
+           std::vector<std::uint32_t> &sregs, bool &scc, unsigned &pc)
+{
+    switch (inst.op) {
+      case Opcode::SMov:
+        sregs[inst.dst] = a;
+        break;
+      case Opcode::SAddU32:
+        sregs[inst.dst] = a + b;
+        break;
+      case Opcode::SMulU32:
+        sregs[inst.dst] = a * b;
+        break;
+      case Opcode::SCmpLtU32:
+        scc = a < b;
+        break;
+      case Opcode::SCBranch1:
+        pc = scc ? static_cast<unsigned>(inst.target) : pc + 1;
+        return ScalarOutcome::Next;
+      case Opcode::SCBranch0:
+        pc = !scc ? static_cast<unsigned>(inst.target) : pc + 1;
+        return ScalarOutcome::Next;
+      case Opcode::SBranch:
+        pc = static_cast<unsigned>(inst.target);
+        return ScalarOutcome::Next;
+      case Opcode::SEndpgm:
+        return ScalarOutcome::End;
+      default:
+        return ScalarOutcome::Unknown;
+    }
+    ++pc;
+    return ScalarOutcome::Next;
 }
 
 /**

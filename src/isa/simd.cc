@@ -210,13 +210,8 @@ int scalar_ref_force = -1;
 bool
 scalarRefDefault()
 {
-    if (const char *e = std::getenv("LAZYGPU_SCALAR_REF"))
-        return !(e[0] == '0' && e[1] == '\0');
-#ifdef LAZYGPU_SCALAR_REF
-    return true;
-#else
-    return false;
-#endif
+    const char *e = std::getenv("LAZYGPU_SCALAR_REF");
+    return e && !(e[0] == '0' && e[1] == '\0');
 }
 
 } // namespace

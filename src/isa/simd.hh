@@ -7,13 +7,15 @@
  * reference executor already store contiguously; evalValuPlane runs one
  * VALU instruction over whole planes with a single opcode dispatch, so
  * the per-lane work is a branch-free loop the compiler turns into SSE/
- * AVX code. Per-lane semantics are exactly isa::evalValu's -- the scalar
- * one-lane-at-a-time interpreters remain the differential oracle.
+ * AVX code. All three executors -- the timed ComputeUnit, the rabbit
+ * and the reference -- run their VALU instructions here. Per-lane
+ * semantics are exactly isa::evalValu's; the scalar one-lane-at-a-time
+ * interpreters remain the differential oracle.
  *
- * Predication follows the timed pipeline's optimization-(2) contract:
- * a source operand carries a LaneMask of lanes that read as zero (the
+ * Predication follows the Lazy Unit's optimization-(2) contract: a
+ * source operand carries a LaneMask of lanes that read as zero (the
  * Suspended lanes); VMacF32's accumulator (the destination plane) is
- * always read raw, as in ComputeUnit::execValu.
+ * always read raw.
  *
  * Zero probes fold into per-plane zero bitmaps: zeroLanes computes the
  * "lane value == 0" mask of a plane in one vectorizable pass, and the
@@ -27,11 +29,12 @@
  * that silently breaks auto-vectorization makes the two builds run at
  * the same speed and fails the guard test instead of quietly regressing.
  *
- * Scalar-oracle toggle: the LAZYGPU_SCALAR_REF CMake option flips the
- * compiled default, and the LAZYGPU_SCALAR_REF environment variable
- * (0/1) overrides it at process start; scalarRefEnabled() is what the
- * reference executor and the rabbit executor consult to route between
- * the scalar and vectorized paths.
+ * Scalar-oracle switch: setting the LAZYGPU_SCALAR_REF environment
+ * variable (to anything but 0) routes the reference executor and the
+ * rabbit executor through the scalar per-lane interpreters;
+ * scalarRefEnabled() is what they consult. The timed ComputeUnit always
+ * runs the plane core, so an oracle run checks it against the scalar
+ * specification.
  */
 
 #ifndef LAZYGPU_ISA_SIMD_HH
@@ -96,11 +99,10 @@ namespace isa
 {
 
 /**
- * True when the scalar one-lane-at-a-time interpreters should be used
- * as the functional path (the differential oracle). Compiled default is
- * OFF (vectorized) unless the LAZYGPU_SCALAR_REF CMake option is set;
- * the LAZYGPU_SCALAR_REF environment variable (0/1) overrides either
- * way, read once per process.
+ * True when the reference and rabbit executors should run the scalar
+ * one-lane-at-a-time interpreters (the differential oracle): when the
+ * LAZYGPU_SCALAR_REF environment variable is set to anything but 0,
+ * read once per process.
  */
 bool scalarRefEnabled();
 

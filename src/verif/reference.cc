@@ -53,6 +53,26 @@ planeSrc(RefWaveState &w, const Src &s)
 }
 
 /**
+ * One scalar instruction of either reference loop. Sets done at
+ * s_endpgm; records an error in res and returns false on an unknown
+ * opcode.
+ */
+bool
+execScalar(RefWaveState &w, const Instruction &inst, bool &scc,
+           unsigned &pc, bool &done, RefResult &res)
+{
+    const isa::ScalarOutcome out =
+        isa::evalScalar(inst, readSrc(w, inst.src0, 0),
+                        readSrc(w, inst.src1, 0), w.sregs, scc, pc);
+    if (out == isa::ScalarOutcome::Unknown) {
+        res.error = "unhandled scalar opcode " + opcodeName(inst.op);
+        return false;
+    }
+    done = out == isa::ScalarOutcome::End;
+    return true;
+}
+
+/**
  * True iff every lane's address offset is base_off + stride*lane, the
  * unit-stride pattern whose whole-wavefront footprint is one contiguous
  * span (the batched load/store fast path below).
@@ -118,39 +138,8 @@ runReferenceScalar(const Kernel &kernel, GlobalMemory &mem,
 
             const Instruction &inst = kernel.code[pc];
             if (isScalar(inst.op)) {
-                const std::uint32_t a = readSrc(w, inst.src0, 0);
-                const std::uint32_t b = readSrc(w, inst.src1, 0);
-                switch (inst.op) {
-                  case Opcode::SMov:
-                    w.sregs[inst.dst] = a;
-                    break;
-                  case Opcode::SAddU32:
-                    w.sregs[inst.dst] = a + b;
-                    break;
-                  case Opcode::SMulU32:
-                    w.sregs[inst.dst] = a * b;
-                    break;
-                  case Opcode::SCmpLtU32:
-                    scc = a < b;
-                    break;
-                  case Opcode::SCBranch1:
-                    pc = scc ? static_cast<unsigned>(inst.target) : pc + 1;
-                    continue;
-                  case Opcode::SCBranch0:
-                    pc = !scc ? static_cast<unsigned>(inst.target) : pc + 1;
-                    continue;
-                  case Opcode::SBranch:
-                    pc = static_cast<unsigned>(inst.target);
-                    continue;
-                  case Opcode::SEndpgm:
-                    done = true;
-                    continue;
-                  default:
-                    res.error = "unhandled scalar opcode " +
-                                opcodeName(inst.op);
+                if (!execScalar(w, inst, scc, pc, done, res))
                     return res;
-                }
-                ++pc;
             } else if (isLoad(inst.op)) {
                 const unsigned nregs = loadDstRegs(inst.op);
                 for (unsigned lane = 0; lane < wavefrontSize; ++lane) {
@@ -256,39 +245,8 @@ runReferenceSimd(const Kernel &kernel, GlobalMemory &mem,
                 }
                 ++pc;
             } else if (isScalar(inst.op)) {
-                const std::uint32_t a = readSrc(w, inst.src0, 0);
-                const std::uint32_t b = readSrc(w, inst.src1, 0);
-                switch (inst.op) {
-                  case Opcode::SMov:
-                    w.sregs[inst.dst] = a;
-                    break;
-                  case Opcode::SAddU32:
-                    w.sregs[inst.dst] = a + b;
-                    break;
-                  case Opcode::SMulU32:
-                    w.sregs[inst.dst] = a * b;
-                    break;
-                  case Opcode::SCmpLtU32:
-                    scc = a < b;
-                    break;
-                  case Opcode::SCBranch1:
-                    pc = scc ? static_cast<unsigned>(inst.target) : pc + 1;
-                    continue;
-                  case Opcode::SCBranch0:
-                    pc = !scc ? static_cast<unsigned>(inst.target) : pc + 1;
-                    continue;
-                  case Opcode::SBranch:
-                    pc = static_cast<unsigned>(inst.target);
-                    continue;
-                  case Opcode::SEndpgm:
-                    done = true;
-                    continue;
-                  default:
-                    res.error = "unhandled scalar opcode " +
-                                opcodeName(inst.op);
+                if (!execScalar(w, inst, scc, pc, done, res))
                     return res;
-                }
-                ++pc;
             } else if (isLoad(inst.op)) {
                 const unsigned nregs = loadDstRegs(inst.op);
                 const unsigned bytes = loadBytes(inst.op);

@@ -63,8 +63,8 @@ struct RefResult
 /**
  * Execute every wavefront of the kernel to completion, untimed,
  * mutating mem (pass a copy of the launch image). Routes to the
- * vectorized plane executor unless the LAZYGPU_SCALAR_REF toggle
- * (isa::scalarRefEnabled) selects the scalar oracle; both produce
+ * vectorized plane executor unless the LAZYGPU_SCALAR_REF environment
+ * variable (isa::scalarRefEnabled) selects the scalar oracle; both produce
  * bit-identical RefResults.
  *
  * @param max_insts_per_wave livelock guard; exceeded -> error set.

@@ -1,9 +1,10 @@
 /**
  * @file
  * Functional semantics of every VALU/scalar opcode, verified by
- * executing one-instruction kernels on the simulator, plus a
- * random-kernel property test: every execution mode must produce
- * bit-identical outputs (elimination may never change results).
+ * executing one-instruction kernels on both executors (the timed
+ * pipeline and the rabbit), plus a random-kernel property test: every
+ * execution mode must produce bit-identical outputs (elimination may
+ * never change results).
  */
 
 #include <gtest/gtest.h>
@@ -36,35 +37,57 @@ floatOf(std::uint32_t b)
     return f;
 }
 
+/**
+ * The two executors, as GpuConfig::timingWaves values: every wave on
+ * the timed pipeline, or every wave in the rabbit.
+ */
+constexpr unsigned executors[] = {GpuConfig::timingWavesAll, 0};
+
+const char *
+executorName(unsigned timing_waves)
+{
+    return timing_waves == 0 ? "rabbit" : "timed";
+}
+
 GpuConfig
-tiny()
+tiny(unsigned timing_waves)
 {
     GpuConfig cfg = GpuConfig::lazyGpu();
     cfg.numShaderArrays = 1;
     cfg.cusPerSa = 1;
     cfg.l2Banks = 1;
+    cfg.timingWaves = timing_waves;
     return cfg;
 }
 
-/** Execute `op dst, a, b` for one wavefront and return lane 0's dst. */
+/**
+ * Execute `op dst, a, b` for one wavefront and return lane 0's dst.
+ * The operands are immediates (lane-invariant splats) or, with
+ * in_vregs, vector registers (per-lane rows).
+ */
 std::uint32_t
 evalValu(Opcode op, std::uint32_t a, std::uint32_t b,
-         std::uint32_t dst_init = 0)
+         std::uint32_t dst_init, bool in_vregs, unsigned timing_waves)
 {
     GlobalMemory mem;
     Addr out = mem.alloc(256);
     KernelBuilder kb("eval");
     kb.valu(Opcode::VMov, 2, Src::imm(dst_init));
-    kb.valu(op, 2, Src::imm(a), Src::imm(b));
+    if (in_vregs) {
+        kb.valu(Opcode::VMov, 3, Src::imm(a));
+        kb.valu(Opcode::VMov, 4, Src::imm(b));
+        kb.valu(op, 2, Src::vreg(3), Src::vreg(4));
+    } else {
+        kb.valu(op, 2, Src::imm(a), Src::imm(b));
+    }
     kb.threadId(0);
     kb.valu(Opcode::VShlU32, 1, Src::vreg(0), Src::imm(2));
     kb.store(Opcode::StoreDword, 1, 2, out);
     Kernel k = kb.build(1);
 
-    GlobalMemory m = mem;
-    Gpu gpu(tiny(), m);
+    Gpu gpu(tiny(timing_waves), mem);
     gpu.run(k);
-    return m.readU32(out);
+    return mem.readU32(out);
 }
 
 struct ValuCase
@@ -74,6 +97,15 @@ struct ValuCase
     std::uint32_t a, b, dst_init, expect;
 };
 
+// ctest names each case after its printed parameter. gtest's default
+// printer dumps the struct's bytes, and the `name` pointer among them
+// moves with address-space randomisation, so print the name itself.
+void
+PrintTo(const ValuCase &c, std::ostream *os)
+{
+    *os << c.name;
+}
+
 class ValuSemantics : public ::testing::TestWithParam<ValuCase>
 {
 };
@@ -81,7 +113,19 @@ class ValuSemantics : public ::testing::TestWithParam<ValuCase>
 TEST_P(ValuSemantics, LaneZeroMatches)
 {
     const ValuCase &c = GetParam();
-    EXPECT_EQ(c.expect, evalValu(c.op, c.a, c.b, c.dst_init)) << c.name;
+    for (const unsigned tw : executors) {
+        EXPECT_EQ(c.expect, evalValu(c.op, c.a, c.b, c.dst_init, false, tw))
+            << c.name << " on " << executorName(tw);
+    }
+}
+
+TEST_P(ValuSemantics, VectorOperandsMatch)
+{
+    const ValuCase &c = GetParam();
+    for (const unsigned tw : executors) {
+        EXPECT_EQ(c.expect, evalValu(c.op, c.a, c.b, c.dst_init, true, tw))
+            << c.name << " on " << executorName(tw);
+    }
 }
 
 const ValuCase valu_cases[] = {
@@ -128,73 +172,82 @@ INSTANTIATE_TEST_SUITE_P(
 
 TEST(ExecSemantics, ThreadAndLaneIdentity)
 {
-    GlobalMemory mem;
-    Addr out = mem.alloc(4096);
-    KernelBuilder kb("ids");
-    kb.threadId(0);
-    kb.valu(Opcode::VLaneId, 2, Src::none());
-    kb.valu(Opcode::VShlU32, 1, Src::vreg(0), Src::imm(3));
-    kb.store(Opcode::StoreDwordX2, 1, 0, out); // {tid, lane} per lane
-    // v0=tid, v1 is the address: store v0..v1? store data reg must be
-    // contiguous {v0,v1}; instead pack lane into v1's neighbour.
-    Kernel k = kb.build(2);
+    for (const unsigned tw : executors) {
+        SCOPED_TRACE(executorName(tw));
+        GlobalMemory mem;
+        Addr out = mem.alloc(4096);
+        KernelBuilder kb("ids");
+        kb.threadId(0);
+        kb.valu(Opcode::VLaneId, 2, Src::none());
+        kb.valu(Opcode::VShlU32, 1, Src::vreg(0), Src::imm(3));
+        kb.store(Opcode::StoreDwordX2, 1, 0, out); // {tid, lane} per lane
+        // v0=tid, v1 is the address: store v0..v1? store data reg must
+        // be contiguous {v0,v1}; instead pack lane into v1's neighbour.
+        Kernel k = kb.build(2);
 
-    Gpu gpu(tiny(), mem);
-    gpu.run(k);
-    // lane checks: thread id = wid*64+lane.
-    EXPECT_EQ(0u, mem.readU32(out + 0));
-    EXPECT_EQ(65u, mem.readU32(out + 8ull * 65));
+        Gpu gpu(tiny(tw), mem);
+        gpu.run(k);
+        // lane checks: thread id = wid*64+lane.
+        EXPECT_EQ(0u, mem.readU32(out + 0));
+        EXPECT_EQ(65u, mem.readU32(out + 8ull * 65));
+    }
 }
 
 TEST(ExecSemantics, ScalarLoopRunsExactCount)
 {
     // Count loop iterations via a vector accumulator.
-    GlobalMemory mem;
-    Addr out = mem.alloc(4096);
-    KernelBuilder kb("loop");
-    kb.valu(Opcode::VMov, 2, Src::imm(0));
-    kb.salu(Opcode::SMov, 1, Src::imm(37));
-    int top = kb.label();
-    kb.place(top);
-    kb.valu(Opcode::VAddU32, 2, Src::vreg(2), Src::imm(1));
-    kb.salu(Opcode::SAddU32, 1, Src::sreg(1), Src::imm(0xffffffffu));
-    kb.scmpLt(1, Src::imm(1));
-    kb.cbranch0(top);
-    kb.threadId(0);
-    kb.valu(Opcode::VShlU32, 1, Src::vreg(0), Src::imm(2));
-    kb.store(Opcode::StoreDword, 1, 2, out);
-    Kernel k = kb.build(1);
+    for (const unsigned tw : executors) {
+        SCOPED_TRACE(executorName(tw));
+        GlobalMemory mem;
+        Addr out = mem.alloc(4096);
+        KernelBuilder kb("loop");
+        kb.valu(Opcode::VMov, 2, Src::imm(0));
+        kb.salu(Opcode::SMov, 1, Src::imm(37));
+        int top = kb.label();
+        kb.place(top);
+        kb.valu(Opcode::VAddU32, 2, Src::vreg(2), Src::imm(1));
+        kb.salu(Opcode::SAddU32, 1, Src::sreg(1), Src::imm(0xffffffffu));
+        kb.scmpLt(1, Src::imm(1));
+        kb.cbranch0(top);
+        kb.threadId(0);
+        kb.valu(Opcode::VShlU32, 1, Src::vreg(0), Src::imm(2));
+        kb.store(Opcode::StoreDword, 1, 2, out);
+        Kernel k = kb.build(1);
 
-    Gpu gpu(tiny(), mem);
-    gpu.run(k);
-    EXPECT_EQ(37u, mem.readU32(out));
+        Gpu gpu(tiny(tw), mem);
+        gpu.run(k);
+        EXPECT_EQ(37u, mem.readU32(out));
+    }
 }
 
 TEST(ExecSemantics, ScalarArithmeticAndBranches)
 {
     // if (5 < 3) would skip; SBranch jumps over a poison store.
-    GlobalMemory mem;
-    Addr out = mem.alloc(4096);
-    KernelBuilder kb("branches");
-    kb.threadId(0);
-    kb.valu(Opcode::VShlU32, 1, Src::vreg(0), Src::imm(2));
-    kb.salu(Opcode::SMov, 1, Src::imm(5));
-    kb.salu(Opcode::SMulU32, 2, Src::sreg(1), Src::imm(3)); // s2 = 15
-    int skip = kb.label();
-    kb.scmpLt(2, Src::imm(10)); // 15 < 10 -> false
-    kb.cbranch1(skip);          // not taken
-    kb.valu(Opcode::VMov, 2, Src::imm(111));
-    int end = kb.label();
-    kb.branch(end);
-    kb.place(skip);
-    kb.valu(Opcode::VMov, 2, Src::imm(222)); // must be skipped
-    kb.place(end);
-    kb.store(Opcode::StoreDword, 1, 2, out);
-    Kernel k = kb.build(1);
+    for (const unsigned tw : executors) {
+        SCOPED_TRACE(executorName(tw));
+        GlobalMemory mem;
+        Addr out = mem.alloc(4096);
+        KernelBuilder kb("branches");
+        kb.threadId(0);
+        kb.valu(Opcode::VShlU32, 1, Src::vreg(0), Src::imm(2));
+        kb.salu(Opcode::SMov, 1, Src::imm(5));
+        kb.salu(Opcode::SMulU32, 2, Src::sreg(1), Src::imm(3)); // s2 = 15
+        int skip = kb.label();
+        kb.scmpLt(2, Src::imm(10)); // 15 < 10 -> false
+        kb.cbranch1(skip);          // not taken
+        kb.valu(Opcode::VMov, 2, Src::imm(111));
+        int end = kb.label();
+        kb.branch(end);
+        kb.place(skip);
+        kb.valu(Opcode::VMov, 2, Src::imm(222)); // must be skipped
+        kb.place(end);
+        kb.store(Opcode::StoreDword, 1, 2, out);
+        Kernel k = kb.build(1);
 
-    Gpu gpu(tiny(), mem);
-    gpu.run(k);
-    EXPECT_EQ(111u, mem.readU32(out));
+        Gpu gpu(tiny(tw), mem);
+        gpu.run(k);
+        EXPECT_EQ(111u, mem.readU32(out));
+    }
 }
 
 // --- Cross-mode equivalence fuzzing -----------------------------------------

@@ -37,6 +37,15 @@ struct GoldenCase
     double avgMemLatency;
 };
 
+// ctest names each case after its printed parameter. gtest's default
+// printer dumps the struct's bytes, and the `workload` pointer among them
+// moves with address-space randomisation, so print the workload by name.
+void
+PrintTo(const GoldenCase &g, std::ostream *os)
+{
+    *os << g.workload;
+}
+
 // Captured with: r9Nano (lazyGpu split for zero-cache modes), scaled(8),
 // WorkloadParams{sparsity, scale=16, seed=42}.
 const GoldenCase kGolden[] = {
