@@ -6,8 +6,8 @@
 # The job count is forwarded to every figure, table and campaign binary
 # (they spread their experiment grids over N worker threads; output is
 # byte-identical for any N). Defaults to LAZYGPU_JOBS or the host core
-# count. The other tools in build/bench (perf_engine, micro_components,
-# trace_export, verif_fuzz) take their own arguments and are run by hand.
+# count. The other tools in build/bench (perf_engine, trace_export,
+# verif_fuzz) take their own arguments and are run by hand.
 #
 # A failing bench does not stop the batch: every binary runs, failures
 # are collected, and the script exits nonzero with a FAILED summary so

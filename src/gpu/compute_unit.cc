@@ -5,7 +5,6 @@
 
 #include "gpu/coalescer.hh"
 #include "inject/fault.hh"
-#include "isa/encoding.hh"
 #include "isa/eval.hh"
 #include "isa/simd.hh"
 #include "sim/logging.hh"
@@ -363,25 +362,30 @@ ComputeUnit::executeScalar(Wavefront &wave, const Instruction &inst)
 }
 
 void
-ComputeUnit::trySuspend(Wavefront &wave, const Instruction &inst,
-                        unsigned reg)
+ComputeUnit::trySuspend(Wavefront &wave, PendingLoad &pl,
+                        const Instruction &inst, unsigned reg)
 {
-    PendingLoad *pl = wave.pendingFor(reg);
-    if (!pl)
-        return;
-    const LaneMask to_suspend =
-        wave.pendingMask(reg) & zeroCounterpartLanes(wave, inst, reg, mode_);
-    if (!to_suspend)
-        return;
-    wave.suspendLanes(reg, to_suspend);
-    lanes_suspended_ += std::popcount(to_suspend);
-    const Tick age = engine_.now() - pl->recordTick;
-    for (LaneMask t = to_suspend; t; t &= t - 1) {
-        const unsigned lane = std::countr_zero(t);
+    const unsigned n =
+        std::popcount(suspendForOtimes(wave, pl, inst, reg, mode_));
+    lanes_suspended_ += n;
+    const Tick age = engine_.now() - pl.recordTick;
+    for (unsigned i = 0; i < n; ++i)
         lifecycle_.suspended(age);
-        if (auto *tx = pl->txFor(pl->wordAddr(reg - pl->firstDst, lane)))
-            tx->hadSuspended = true;
-    }
+}
+
+void
+ComputeUnit::countEliminated(const PendingLoad &pl, const ElimTally &tally)
+{
+    txs_elim_zero_ += tally.zero;
+    txs_elim_otimes_ += tally.otimes;
+    txs_elim_dead_ += tally.dead;
+    const Tick age = engine_.now() - pl.recordTick;
+    for (unsigned i = 0; i < tally.zero; ++i)
+        lifecycle_.eliminatedZero(age);
+    for (unsigned i = 0; i < tally.otimes; ++i)
+        lifecycle_.eliminatedOtimes(age);
+    for (unsigned i = 0; i < tally.dead; ++i)
+        lifecycle_.eliminatedDead(age);
 }
 
 void
@@ -419,7 +423,7 @@ ComputeUnit::issueSoonNeeded(Wavefront &wave)
         if (!pl)
             return;
         if (otimes_src)
-            trySuspend(wave, inst, reg);
+            trySuspend(wave, *pl, inst, reg);
         const bool has_pending = wave.pendingMask(reg) != 0;
         if (has_pending &&
             std::find(issue_ids.begin(), issue_ids.end(), pl->id) ==
@@ -550,165 +554,74 @@ ComputeUnit::executeLoad(Wavefront &wave, const Instruction &inst)
         return;
 
     ++load_insts_;
-
-    std::array<Addr, wavefrontSize> &lane_addr = scratch_lane_addr_;
-    for (unsigned lane = 0; lane < wavefrontSize; ++lane) {
-        lane_addr[lane] =
-            inst.base + wave.vreg(inst.src0.value, lane);
-    }
-
-    recordLazyLoad(wave, inst, lane_addr);
+    recordLazyLoad(wave, inst);
     ++wave.pc;
 }
 
 void
-ComputeUnit::recordLazyLoad(Wavefront &wave, const Instruction &inst,
-                            const std::array<Addr, wavefrontSize> &lane_addr)
+ComputeUnit::recordLazyLoad(Wavefront &wave, const Instruction &inst)
 {
-    const unsigned nregs = loadDstRegs(inst.op);
-    const unsigned bytes_per_lane = loadBytes(inst.op);
-
-    PendingLoad pl;
-    pl.op = inst.op;
-    pl.firstDst = inst.dst;
-    pl.numRegs = nregs;
-    pl.laneAddr = lane_addr;
-    pl.recordTick = engine_.now();
-
-    // Group every (reg, lane) word into its covering transaction,
-    // preserving lane order. Consecutive lanes almost always hit the
-    // same transaction (unit-stride loads), so remember the last one and
-    // only fall back to the linear lookup on an address change; new
-    // transactions are appended with their word capacity pre-reserved.
-    const unsigned bytes_per_word =
-        std::min(bytes_per_lane, maskGranularity);
-    pl.txs.reserve(nregs * wavefrontSize * std::size_t(bytes_per_word) /
-                   transactionSize);
-    PendingLoad::Tx *last = nullptr;
-    for (unsigned lane = 0; lane < wavefrontSize; ++lane) {
-        for (unsigned r = 0; r < nregs; ++r) {
-            Addr wa = pl.wordAddr(r, lane);
-            Addr ta = txAlign(wa);
-            panic_if(txAlign(wa + bytes_per_word - 1) != ta,
-                     "load word straddles a transaction; kernels must "
-                     "use naturally aligned accesses");
-            PendingLoad::Tx *tx =
-                last && last->addr == ta ? last : pl.txFor(wa);
-            if (!tx) {
-                pl.txs.emplace_back();
-                tx = &pl.txs.back();
-                tx->addr = ta;
-                tx->words.reserve(transactionSize / 4);
-            }
-            last = tx;
-            tx->words.emplace_back(static_cast<std::uint8_t>(r),
-                                   static_cast<std::uint8_t>(lane));
-            ++tx->unresolved;
-            ++pl.wordsLeft;
-            wave.setRegState(inst.dst + r, lane, RegState::Pending);
-        }
-    }
-
-    // Encodability (Sec 4.1): lanes whose upper 35 address bits differ
-    // from lane 0's cannot be parked in the register metadata and are
-    // issued without lazy execution.
-    const std::uint64_t shared_upper = upperBits(lane_addr[0]);
-    bool any_fallback = false;
-    for (unsigned lane = 0; lane < wavefrontSize; ++lane) {
-        if (upperBits(lane_addr[lane]) != shared_upper) {
-            any_fallback = true;
-            break;
-        }
-    }
-
-    PendingLoad &stored = wave.addPending(std::move(pl));
+    PendingLoad &pl = recordLoad(wave, inst, engine_.now());
 
     const bool eager_issue = !isLazy(mode_);
-    if (any_fallback && !eager_issue) {
+    if (!encodable(pl) && !eager_issue) {
         // Mixed upper bits: per the paper these requests are promptly
         // issued; we fall back to eager issue for the whole instruction.
-        txs_eager_fallback_ += stored.txs.size();
-        issuePendingLoad(wave, stored);
+        txs_eager_fallback_ += pl.txs.size();
+        issuePendingLoad(wave, pl);
         return;
     }
 
     if (hasZeroElimination(mode_))
-        requestMasks(wave, stored);
+        requestMasks(wave, pl);
 
     if (eager_issue) {
         if (mode_ == ExecMode::EagerZC)
-            requestMasks(wave, stored); // concurrent mask fetch
-        issuePendingLoad(wave, stored);
+            requestMasks(wave, pl); // concurrent mask fetch
+        issuePendingLoad(wave, pl);
     }
 }
 
 void
 ComputeUnit::issuePendingLoad(Wavefront &wave, PendingLoad &pl)
 {
-    pl.dataIssued = true;
     Wavefront *wp = &wave;
-    const unsigned first_dst = pl.firstDst;
     const unsigned pl_id = pl.id;
-    // Only EagerZC's short-circuit reads all_zero; the per-word zero
-    // probes are pure overhead for the other modes.
+    // Only EagerZC's short-circuit reads the zero probe.
     const bool probe_zero = mode_ == ExecMode::EagerZC;
 
-    for (auto &tx : pl.txs) {
-        if (tx.outcome != TxOutcome::Unissued)
-            continue;
-        bool has_pending = false;
-        bool all_zero = probe_zero;
-        for (const auto &[r, lane] : tx.words) {
-            RegState st = wave.regState(first_dst + r, lane);
-            if (st == RegState::Pending) {
-                has_pending = true;
-                if (!probe_zero)
-                    break; // the scan learns nothing else
-            }
-            if (probe_zero &&
-                (st == RegState::Pending || st == RegState::Suspended) &&
-                !mem_.isZeroWord(pl.wordAddr(r, lane))) {
-                all_zero = false;
-            }
-        }
-        if (!has_pending)
+    for (unsigned tx_idx = 0; tx_idx < pl.txs.size(); ++tx_idx) {
+        PendingLoad::Tx &tx = pl.txs[tx_idx];
+        if (tx.outcome != TxOutcome::Unissued ||
+            !hasPendingWord(wave, pl, tx)) {
             continue; // entirely suspended/resolved: stays parked
+        }
+        const Addr tx_addr = tx.addr;
 
         // EagerZC (Fig 9 comparison): the L1 Zero Cache is probed in
         // parallel with the data path; if the mask is on hand and every
         // needed word is zero the L2 access is short-circuited -- but
         // the request has already consumed the issue slot and LSU.
-        if (all_zero &&
-            hier_.maskResidentInL1(sa_id_,
-                                   GlobalMemory::maskAddr(tx.addr))) {
+        const bool short_circuit =
+            probe_zero && busyWordsZero(mem_, wave, pl, tx) &&
+            hier_.maskResidentInL1(sa_id_, GlobalMemory::maskAddr(tx_addr));
+        markIssued(wave, pl, tx);
+        ++wave.outstanding_txs_;
+        if (short_circuit) {
             ++zc_short_circuits_;
             if (trace_) {
                 trace_->emit(TraceKind::ZcShortCircuit, traceTrack(), 0,
-                             engine_.now(), 0, tx.addr);
+                             engine_.now(), 0, tx_addr);
             }
-            tx.outcome = TxOutcome::Issued;
-            for (const auto &[r, lane] : tx.words) {
-                if (wave.regState(first_dst + r, lane) !=
-                    RegState::Ready) {
-                    wave.setRegState(first_dst + r, lane,
-                                     RegState::InFlight);
-                }
-            }
-            ++wave.outstanding_txs_;
-            Addr tx_addr = tx.addr;
             engine_.scheduleIn(
                 cfg_.lsuPipeLatency + cfg_.l1HitLatency,
-                [this, wp, pl_id, tx_addr]() {
+                [this, wp, pl_id, tx_idx]() {
                     Wavefront &w = *wp;
                     --w.outstanding_txs_;
                     auto it = w.pendings().find(pl_id);
                     if (it != w.pendings().end()) {
                         PendingLoad &p = it->second;
-                        if (auto *t = p.txFor(tx_addr)) {
-                            for (const auto &[r2, l2] : t->words) {
-                                resolveWord(w, p, *t, r2, l2, 0);
-                            }
-                        }
+                        zeroBusyWords(w, p, p.txs[tx_idx]);
                         finishPendingIfResolved(w, p);
                     }
                     wake(w);
@@ -718,12 +631,6 @@ ComputeUnit::issuePendingLoad(Wavefront &wave, PendingLoad &pl)
             continue;
         }
 
-        tx.outcome = TxOutcome::Issued;
-        for (const auto &[r, lane] : tx.words) {
-            if (wave.regState(first_dst + r, lane) != RegState::Ready)
-                wave.setRegState(first_dst + r, lane, RegState::InFlight);
-        }
-        ++wave.outstanding_txs_;
         ++pl.inflightTxs;
         ++txs_issued_;
 
@@ -734,11 +641,10 @@ ComputeUnit::issuePendingLoad(Wavefront &wave, PendingLoad &pl)
         if (trace_) {
             span_id = trace_->nextId();
             trace_->emit(TraceKind::TxBegin, traceTrack(), 0,
-                         issue_tick, span_id, tx.addr);
+                         issue_tick, span_id, tx_addr);
         }
-        Addr tx_addr = tx.addr;
-        issueTx(tx.addr, false,
-                [this, wp, pl_id, tx_addr, issue_tick, record_tick,
+        issueTx(tx_addr, false,
+                [this, wp, pl_id, tx_idx, tx_addr, issue_tick, record_tick,
                  span_id]() {
             Wavefront &w = *wp;
             --w.outstanding_txs_;
@@ -760,20 +666,8 @@ ComputeUnit::issuePendingLoad(Wavefront &wave, PendingLoad &pl)
                     inject_->wantScoreboardFlip(engine_.now())) {
                     p.wordsLeft += 1;
                 }
-                if (auto *t = p.txFor(tx_addr)) {
-                    for (const auto &[r2, l2] : t->words) {
-                        if (w.regState(p.firstDst + r2, l2) ==
-                            RegState::InFlight) {
-                            std::uint32_t v = isa::loadRegWord(
-                                mem_, p.op, p.laneAddr[l2], r2);
-                            if (inject_) {
-                                v = inject_->filterLoadWord(
-                                    engine_.now(), v);
-                            }
-                            resolveWord(w, p, *t, r2, l2, v);
-                        }
-                    }
-                }
+                fillBusyWords(w, p, p.txs[tx_idx], mem_, inject_,
+                              engine_.now());
                 finishPendingIfResolved(w, p);
             }
             // Waking per transaction would burn issue slots on futile
@@ -871,66 +765,11 @@ ComputeUnit::onMaskResponse(Wavefront &wave, unsigned pl_id,
     const Addr hi = GlobalMemory::maskedDataAddr(mask_addr +
                                                  transactionSize);
 
-    for (auto &tx : pl.txs) {
-        if (tx.outcome != TxOutcome::Unissued)
-            continue;
-        if (tx.addr < lo || tx.addr >= hi)
-            continue;
-        for (const auto &[r, lane] : tx.words) {
-            const unsigned reg = pl.firstDst + r;
-            if (wave.regState(reg, lane) != RegState::Pending)
-                continue;
-            bool zero = mem_.isZeroWord(pl.wordAddr(r, lane));
-            if (inject_)
-                zero ^= inject_->flipZeroProbe(engine_.now());
-            if (zero) {
-                // Optimization (1): materialise the zero without memory
-                // traffic (busy bit cleared, register initialised to 0).
-                ++lanes_zeroed_;
-                ++tx.zeroedWords;
-                resolveWord(wave, pl, tx, r, lane, 0);
-            }
-        }
-    }
+    ElimTally tally;
+    lanes_zeroed_ += zeroPendingWords(wave, pl, lo, hi, mem_, inject_,
+                                      engine_.now(), tally);
+    countEliminated(pl, tally);
     finishPendingIfResolved(wave, pl);
-}
-
-void
-ComputeUnit::resolveWord(Wavefront &wave, PendingLoad &pl,
-                         PendingLoad::Tx &tx_ref, unsigned reg_off,
-                         unsigned lane, std::uint32_t value)
-{
-    const unsigned reg = pl.firstDst + reg_off;
-    if (wave.regState(reg, lane) == RegState::Ready)
-        return;
-    wave.setVreg(reg, lane, value);
-    wave.setRegState(reg, lane, RegState::Ready);
-
-    // The caller names the covering transaction directly: every resolve
-    // site already iterates a transaction's word list (or looked it up),
-    // so re-finding it here would be a redundant linear scan.
-    PendingLoad::Tx *tx = &tx_ref;
-    panic_if(tx->unresolved == 0, "transaction resolved twice");
-    --tx->unresolved;
-    --pl.wordsLeft;
-
-    if (tx->unresolved == 0 && tx->outcome == TxOutcome::Unissued) {
-        // This transaction will never be issued; classify why (Fig 14).
-        const Tick age = engine_.now() - pl.recordTick;
-        if (tx->zeroedWords == tx->words.size()) {
-            tx->outcome = TxOutcome::EliminatedZero;
-            ++txs_elim_zero_;
-            lifecycle_.eliminatedZero(age);
-        } else if (tx->hadSuspended) {
-            tx->outcome = TxOutcome::EliminatedOtimes;
-            ++txs_elim_otimes_;
-            lifecycle_.eliminatedOtimes(age);
-        } else {
-            tx->outcome = TxOutcome::EliminatedDead;
-            ++txs_elim_dead_;
-            lifecycle_.eliminatedDead(age);
-        }
-    }
 }
 
 void
@@ -948,44 +787,10 @@ ComputeUnit::eliminateForRegs(Wavefront &wave, unsigned first,
         PendingLoad *pl = wave.pendingFor(r);
         if (!pl)
             continue;
-        const unsigned reg_off = r - pl->firstDst;
-        for (unsigned lane = 0; lane < wavefrontSize; ++lane) {
-            RegState st = wave.regState(r, lane);
-            if (st == RegState::Pending || st == RegState::Suspended) {
-                PendingLoad::Tx *tx =
-                    pl->txFor(pl->wordAddr(reg_off, lane));
-                panic_if(!tx, "word outside its load's footprint");
-                resolveWord(wave, *pl, *tx, reg_off, lane, 0);
-            }
-        }
-        if (pl->wordsLeft == 0) {
-            // Fully resolved: the load is removed outright, so no stale
-            // word can outlive it. This is the common case (a
-            // single-register load overwritten whole).
-            finishPendingIfResolved(wave, *pl);
-            continue;
-        }
-        // The load survives for its other registers (multi-register
-        // loads overlap partially), and this register may be re-owned
-        // by a newer writer the moment we return, while the old load's
-        // mask/data responses are still in flight. Drop the dead words
-        // from the transaction lists so no response can reinterpret
-        // scoreboard state it no longer owns. In-flight words are kept:
-        // prepareOverwrite stalls on them, so they only appear here via
-        // retire-time elimination, where the data callback still needs
-        // them.
-        for (PendingLoad::Tx &tx : pl->txs) {
-            auto &ws = tx.words;
-            ws.erase(std::remove_if(
-                         ws.begin(), ws.end(),
-                         [&](const std::pair<std::uint8_t,
-                                             std::uint8_t> &w) {
-                             return w.first == reg_off &&
-                                    wave.regState(r, w.second) ==
-                                        RegState::Ready;
-                         }),
-                     ws.end());
-        }
+        ElimTally tally;
+        eliminateRegister(wave, *pl, r, tally);
+        countEliminated(*pl, tally);
+        finishPendingIfResolved(wave, *pl);
     }
 }
 
@@ -1097,36 +902,35 @@ ComputeUnit::issueMaskTx(Addr mask_addr, bool write, Completion cb)
 void
 ComputeUnit::corruptLaneBitmap()
 {
-    // In the timed pipeline the (2)-suspension bitmap is the per-lane
-    // RegState word. Losing a set bit (Suspended -> Ready) makes the
-    // lane read stale register data instead of the architectural zero
-    // AND strands the scoreboard word the mark covered (resolveWord
-    // skips Ready lanes, so the retire invariant can fire). Gaining a
-    // spurious bit (Pending -> Suspended) zeroes a live operand until
-    // the next consumer requalifies it. A mode without optimization (2)
-    // holds no suspension bits, so there is nothing to corrupt.
+    // Flip one bit of the (2)-suspension bitmap. Losing a set bit
+    // (Suspended -> Ready) makes the lane read stale register data
+    // instead of the architectural zero AND strands the scoreboard word
+    // the bit covered (no resolve path visits a Ready lane, so the
+    // retire invariant can fire). Gaining a spurious bit (Pending ->
+    // Suspended) zeroes a live operand until the next consumer
+    // requalifies it. A mode without optimization (2) holds no
+    // suspension bits, so there is nothing to corrupt.
     if (!hasOtimesElimination(mode_))
         return;
+    // The first lane of m at or after the seeded one, cyclically.
     const unsigned want = inject_->laneFromSeed();
+    const auto pick = [want](LaneMask m) {
+        return (want + std::countr_zero(std::rotr(m, int(want)))) %
+               wavefrontSize;
+    };
     for (const auto &w : waves_) {
         for (unsigned r = 0; r < w->kernel().numVregs; ++r) {
-            for (unsigned l = 0; l < wavefrontSize; ++l) {
-                const unsigned lane = (want + l) % wavefrontSize;
-                if (w->regState(r, lane) == RegState::Suspended) {
-                    w->setRegState(r, lane, RegState::Ready);
-                    return;
-                }
+            if (const LaneMask m = w->suspendedMask(r)) {
+                w->setRegState(r, pick(m), RegState::Ready);
+                return;
             }
         }
     }
     for (const auto &w : waves_) {
         for (unsigned r = 0; r < w->kernel().numVregs; ++r) {
-            for (unsigned l = 0; l < wavefrontSize; ++l) {
-                const unsigned lane = (want + l) % wavefrontSize;
-                if (w->regState(r, lane) == RegState::Pending) {
-                    w->setRegState(r, lane, RegState::Suspended);
-                    return;
-                }
+            if (const LaneMask m = w->pendingMask(r)) {
+                w->setRegState(r, pick(m), RegState::Suspended);
+                return;
             }
         }
     }

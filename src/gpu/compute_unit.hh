@@ -184,8 +184,7 @@ class ComputeUnit : public Clocked
     bool prepareOverwrite(Wavefront &wave, unsigned first, unsigned nregs);
 
     // --- Lazy Unit ---------------------------------------------------------
-    void recordLazyLoad(Wavefront &wave, const Instruction &inst,
-                        const std::array<Addr, wavefrontSize> &lane_addr);
+    void recordLazyLoad(Wavefront &wave, const Instruction &inst);
     void issuePendingLoad(Wavefront &wave, PendingLoad &pl);
 
     /**
@@ -200,16 +199,15 @@ class ComputeUnit : public Clocked
      */
     void issueSoonNeeded(Wavefront &wave);
 
-    /** Otimes suspension for one source register of inst. */
-    void trySuspend(Wavefront &wave, const Instruction &inst,
-                    unsigned reg);
+    /** Otimes suspension for source register reg of inst, owned by pl. */
+    void trySuspend(Wavefront &wave, PendingLoad &pl,
+                    const Instruction &inst, unsigned reg);
     void requestMasks(Wavefront &wave, PendingLoad &pl);
     void onMaskResponse(Wavefront &wave, unsigned pl_id, Addr mask_addr);
     void eliminateForRegs(Wavefront &wave, unsigned first, unsigned nregs);
-    void resolveWord(Wavefront &wave, PendingLoad &pl,
-                     PendingLoad::Tx &tx, unsigned reg_off, unsigned lane,
-                     std::uint32_t value);
     void finishPendingIfResolved(Wavefront &wave, PendingLoad &pl);
+    /** Count (and lifecycle-sample) pl's eliminated transactions. */
+    void countEliminated(const PendingLoad &pl, const ElimTally &tally);
 
     // --- Transaction plumbing -----------------------------------------------
     /** Issue one data transaction through the LSU pipe; cb on response. */
@@ -227,11 +225,12 @@ class ComputeUnit : public Clocked
     }
 
     /**
-     * LaneBitmapFlip landing: flip one lane's (2)-suspension bit of the
-     * first resident register that has one to flip -- a Suspended lane
-     * becomes Ready, else a Pending lane becomes Suspended (the seed
-     * picks the starting lane). Does nothing in a mode without
-     * optimization (2). Called from tick() after the injector arms.
+     * LaneBitmapFlip landing: flip one lane's bit of the (2)-suspension
+     * bitmap of the first resident register that has one to flip -- a
+     * Suspended lane becomes Ready, else a Pending lane becomes
+     * Suspended (the seed picks the starting lane). Does nothing in a
+     * mode without optimization (2). Called from tick() after the
+     * injector arms.
      */
     void corruptLaneBitmap();
 

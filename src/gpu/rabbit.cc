@@ -4,7 +4,6 @@
 #include <bit>
 #include <string>
 
-#include "isa/encoding.hh"
 #include "isa/eval.hh"
 #include "isa/simd.hh"
 #include "sim/logging.hh"
@@ -118,23 +117,6 @@ RabbitExecutor::execScalar(Wavefront &wave, const Instruction &inst,
 }
 
 void
-RabbitExecutor::trySuspend(Wavefront &wave, PendingLoad &pl,
-                           const Instruction &inst, unsigned reg)
-{
-    const LaneMask to_suspend =
-        wave.pendingMask(reg) & zeroCounterpartLanes(wave, inst, reg, mode_);
-    if (!to_suspend)
-        return;
-    wave.suspendLanes(reg, to_suspend);
-    lanes_suspended_ += std::popcount(to_suspend);
-    for (LaneMask t = to_suspend; t; t &= t - 1) {
-        const unsigned lane = std::countr_zero(t);
-        if (auto *tx = pl.txFor(pl.wordAddr(reg - pl.firstDst, lane)))
-            tx->hadSuspended = true;
-    }
-}
-
-void
 RabbitExecutor::materialize(Wavefront &wave, const Instruction &inst,
                             const std::vector<unsigned> &regs)
 {
@@ -212,8 +194,10 @@ RabbitExecutor::windowIssue(Wavefront &wave)
         PendingLoad *pl = wave.pendingFor(c.reg);
         if (!pl)
             continue;
-        if (c.otimesSrc)
-            trySuspend(wave, *pl, *c.inst, c.reg);
+        if (c.otimesSrc) {
+            lanes_suspended_ += std::popcount(
+                suspendForOtimes(wave, *pl, *c.inst, c.reg, mode_));
+        }
         if (wave.pendingMask(c.reg) != 0 &&
             std::find(issue_ids.begin(), issue_ids.end(), pl->id) ==
                 issue_ids.end()) {
@@ -254,7 +238,7 @@ RabbitExecutor::execValu(Wavefront &wave, const Instruction &inst)
             srcs.push_back(inst.dst);
         materialize(wave, inst, srcs);
     }
-    if (!reads_dst && wave.hasPendingOwner(inst.dst))
+    if (!reads_dst && wave.pendingFor(inst.dst))
         eliminateForRegs(wave, inst.dst, 1); // dead-on-overwrite
 
     ++valu_insts_;
@@ -309,121 +293,30 @@ RabbitExecutor::execLoad(Wavefront &wave, const Instruction &inst)
         srcs.push_back(inst.src0.value);
         materialize(wave, inst, srcs);
     }
-    const unsigned ndst = loadDstRegs(inst.op);
-    bool dst_owned = false;
-    for (unsigned r = 0; r < ndst && !dst_owned; ++r)
-        dst_owned = wave.hasPendingOwner(inst.dst + r);
-    if (dst_owned)
-        eliminateForRegs(wave, inst.dst, ndst);
+    eliminateForRegs(wave, inst.dst, loadDstRegs(inst.op));
 
     ++load_insts_;
-
-    std::array<Addr, wavefrontSize> &lane_addr = scratch_lane_addr_;
-    for (unsigned lane = 0; lane < wavefrontSize; ++lane) {
-        lane_addr[lane] =
-            inst.base + wave.vreg(inst.src0.value, lane);
-    }
-
-    recordLoad(wave, inst, lane_addr);
+    recordLazyLoad(wave, inst);
     ++wave.pc;
 }
 
 void
-RabbitExecutor::recordLoad(Wavefront &wave, const Instruction &inst,
-                           const std::array<Addr, wavefrontSize> &lane_addr)
+RabbitExecutor::recordLazyLoad(Wavefront &wave, const Instruction &inst)
 {
-    const unsigned nregs = loadDstRegs(inst.op);
-    const unsigned bytes_per_lane = loadBytes(inst.op);
-
-    PendingLoad &pl = wave.emplacePending();
-    pl.op = inst.op;
-    pl.firstDst = inst.dst;
-    pl.numRegs = nregs;
-    pl.laneAddr = lane_addr;
-
-    const unsigned bytes_per_word =
-        std::min(bytes_per_lane, maskGranularity);
+    // Reuse a scavenged transaction vector (already empty) so the
+    // per-load heap round trip disappears in steady state.
+    std::vector<PendingLoad::Tx> txs;
     if (!tx_pool_.empty()) {
-        // Reuse a scavenged transaction vector (already empty) so the
-        // per-load heap round trip disappears in steady state.
-        pl.txs = std::move(tx_pool_.back());
+        txs = std::move(tx_pool_.back());
         tx_pool_.pop_back();
     }
-    pl.txs.reserve(nregs * wavefrontSize * std::size_t(bytes_per_word) /
-                   transactionSize);
-    PendingLoad::Tx *last = nullptr;
-    if (nregs == 1 && bytes_per_word == 4) {
-        // Single-dword loads (the dominant case): a 4-aligned dword
-        // never straddles a transaction, and each lane contributes
-        // exactly one word.
-        for (unsigned lane = 0; lane < wavefrontSize; ++lane) {
-            const Addr wa = lane_addr[lane];
-            panic_if((wa & 3) != 0,
-                     "load word straddles a transaction; kernels must "
-                     "use naturally aligned accesses");
-            const Addr ta = txAlign(wa);
-            PendingLoad::Tx *tx =
-                last && last->addr == ta ? last : pl.txFor(wa);
-            if (!tx) {
-                pl.txs.emplace_back();
-                tx = &pl.txs.back();
-                tx->addr = ta;
-            }
-            last = tx;
-            tx->words.emplace_back(0, static_cast<std::uint8_t>(lane));
-            ++tx->unresolved;
-        }
-        pl.wordsLeft = wavefrontSize;
-    } else {
-        for (unsigned lane = 0; lane < wavefrontSize; ++lane) {
-            for (unsigned r = 0; r < nregs; ++r) {
-                Addr wa = pl.wordAddr(r, lane);
-                Addr ta = txAlign(wa);
-                panic_if(txAlign(wa + bytes_per_word - 1) != ta,
-                         "load word straddles a transaction; kernels "
-                         "must use naturally aligned accesses");
-                PendingLoad::Tx *tx =
-                    last && last->addr == ta ? last : pl.txFor(wa);
-                if (!tx) {
-                    pl.txs.emplace_back();
-                    tx = &pl.txs.back();
-                    tx->addr = ta;
-                }
-                last = tx;
-                tx->words.emplace_back(static_cast<std::uint8_t>(r),
-                                       static_cast<std::uint8_t>(lane));
-                ++tx->unresolved;
-                ++pl.wordsLeft;
-            }
-        }
-    }
-
-    // eliminateForRegs just resolved every destination lane (and
-    // InFlight never occurs on this path), so each row flips from
-    // all-Ready to all-Pending wholesale.
-    for (unsigned r = 0; r < nregs; ++r) {
-        panic_if(wave.anyNotReady(inst.dst + r),
-                 "recording a load over a busy destination register");
-        wave.markAllPending(inst.dst + r);
-    }
-
-    const std::uint64_t shared_upper = upperBits(lane_addr[0]);
-    bool any_fallback = false;
-    for (unsigned lane = 0; lane < wavefrontSize; ++lane) {
-        if (upperBits(lane_addr[lane]) != shared_upper) {
-            any_fallback = true;
-            break;
-        }
-    }
-
-    wave.claimOwners(pl);
-    PendingLoad &stored = pl;
+    PendingLoad &pl = recordLoad(wave, inst, 0, std::move(txs));
 
     const bool eager_issue = !isLazy(mode_);
-    if (any_fallback && !eager_issue) {
+    if (!encodable(pl) && !eager_issue) {
         // Mixed upper bits: issued promptly, no masks (as in the CU).
-        txs_eager_fallback_ += stored.txs.size();
-        issuePending(wave, stored); // may remove `stored`
+        txs_eager_fallback_ += pl.txs.size();
+        issuePending(wave, pl); // may remove `pl`
         return;
     }
 
@@ -435,10 +328,9 @@ RabbitExecutor::recordLoad(Wavefront &wave, const Instruction &inst,
     const bool wants_masks =
         zc_ && (hasZeroElimination(mode_) || mode_ == ExecMode::EagerZC);
     if (wants_masks) {
-        stored.maskRequested = true;
         std::vector<Addr> &mask_words = scratch_mask_bytes_;
         mask_words.clear();
-        for (const auto &tx : stored.txs)
+        for (const auto &tx : pl.txs)
             mask_words.push_back(GlobalMemory::maskAddr(tx.addr));
         coalescer_.coalesce(mask_words.data(), mask_words.size(), 1,
                             scratch_mask_txs_);
@@ -447,14 +339,14 @@ RabbitExecutor::recordLoad(Wavefront &wave, const Instruction &inst,
 
     if (!eager_issue) {
         if (wants_masks && hasZeroElimination(mode_))
-            applyZeroing(wave, stored); // may remove `stored`
+            applyZeroing(wave, pl); // may remove `pl`
         return;
     }
 
     // Eager modes issue at record. EagerZC's residency probe must not
     // see this load's own mask fetch (still in flight at issue time in
     // the timed pipeline), so FIFO lines are inserted after the issue.
-    issuePending(wave, stored); // may remove `stored`
+    issuePending(wave, pl); // may remove `pl`
     if (mode_ == ExecMode::EagerZC && zc_) {
         for (Addr ma : scratch_mask_txs_)
             insertMaskLine(ma);
@@ -464,182 +356,47 @@ RabbitExecutor::recordLoad(Wavefront &wave, const Instruction &inst,
 void
 RabbitExecutor::applyZeroing(Wavefront &wave, PendingLoad &pl)
 {
-    // onMaskResponse over the whole footprint (every mask transaction
-    // "arrives" at once), minus the range filter.
-    for (auto &tx : pl.txs) {
-        if (tx.outcome != TxOutcome::Unissued)
-            continue;
-        for (const auto &[r, lane] : tx.words) {
-            if (wave.regState(pl.firstDst + r, lane) !=
-                RegState::Pending) {
-                continue;
-            }
-            if (mem_.isZeroWord(pl.wordAddr(r, lane))) {
-                ++lanes_zeroed_;
-                ++tx.zeroedWords;
-                resolveWord(wave, pl, tx, r, lane, 0);
-            }
-        }
-    }
+    // onMaskResponse over the whole footprint: every mask transaction
+    // "arrives" at once.
+    ElimTally tally;
+    lanes_zeroed_ += zeroPendingWords(wave, pl, 0, ~Addr(0), mem_, nullptr,
+                                      0, tally);
+    countEliminated(tally);
     finishPendingIfResolved(wave, pl);
 }
 
 void
 RabbitExecutor::issuePending(Wavefront &wave, PendingLoad &pl)
 {
-    pl.dataIssued = true;
-    const unsigned first_dst = pl.firstDst;
-
-    // Only EagerZC's residency short-circuit ever reads all_zero; the
-    // per-word zero probes are pure overhead for the other modes.
-    const bool probe_zero = mode_ == ExecMode::EagerZC;
-    const bool single = pl.numRegs == 1 && pl.op != Opcode::LoadByte &&
-                        pl.op != Opcode::LoadShort;
-    RegState *st_row = single ? wave.stateRow(first_dst) : nullptr;
-    std::uint32_t *val_row = single ? wave.valueRow(first_dst) : nullptr;
-
     for (auto &tx : pl.txs) {
-        if (tx.outcome != TxOutcome::Unissued)
-            continue;
-        bool has_pending = false;
-        bool all_zero = probe_zero;
-        if (single && !probe_zero) {
-            for (const auto &w : tx.words) {
-                if (st_row[w.second] == RegState::Pending) {
-                    has_pending = true;
-                    break;
-                }
-            }
-        } else {
-            for (const auto &[r, lane] : tx.words) {
-                RegState st = wave.regState(first_dst + r, lane);
-                if (st == RegState::Pending) {
-                    has_pending = true;
-                    if (!probe_zero)
-                        break; // the scan learns nothing else
-                }
-                if (probe_zero && (st == RegState::Pending ||
-                                   st == RegState::Suspended)) {
-                    if (!mem_.isZeroWord(pl.wordAddr(r, lane)))
-                        all_zero = false;
-                }
-            }
-        }
-        if (!has_pending)
+        if (tx.outcome != TxOutcome::Unissued ||
+            !hasPendingWord(wave, pl, tx)) {
             continue; // entirely suspended/resolved: stays parked
-
-        if (probe_zero && all_zero &&
-            maskResident(GlobalMemory::maskAddr(tx.addr))) {
-            // Short-circuit: the request consumed the issue slot but the
-            // L2 access is skipped; every needed word reads zero.
+        }
+        const bool short_circuit =
+            mode_ == ExecMode::EagerZC && busyWordsZero(mem_, wave, pl, tx) &&
+            maskResident(GlobalMemory::maskAddr(tx.addr));
+        markIssued(wave, pl, tx);
+        if (short_circuit) {
+            // The request consumed the issue slot but the L2 access is
+            // skipped; every needed word reads zero.
             ++zc_short_circuits_;
-            tx.outcome = TxOutcome::Issued;
-            for (const auto &[r, lane] : tx.words) {
-                if (wave.regState(first_dst + r, lane) !=
-                    RegState::Ready) {
-                    resolveWord(wave, pl, tx, r, lane, 0);
-                }
-            }
+            zeroBusyWords(wave, pl, tx);
             continue;
         }
-
-        tx.outcome = TxOutcome::Issued;
         ++txs_issued_;
         ++txs_completed_; // responses are instantaneous on this path
-        // Hot loop of the whole executor (one iteration per loaded
-        // word): the resolveWord classification never applies to an
-        // Issued transaction, so resolve in place. Single-register
-        // word loads additionally hoist the row lookups and batch the
-        // busy-lane bookkeeping.
-        if (single) {
-            // All word starts of one transaction share a page, so the
-            // page pointer is hoisted; a misaligned word whose tail
-            // crosses the page edge falls back to the straddle path.
-            const std::uint8_t *page = mem_.pageForSpan(tx.addr);
-            const auto readWord = [&](Addr a) {
-                const Addr off = a & (GlobalMemory::pageSize - 1);
-                if (off + 4 > GlobalMemory::pageSize)
-                    return mem_.readU32(a);
-                std::uint32_t v = 0;
-                if (page)
-                    std::memcpy(&v, page + off, sizeof(v));
-                return v;
-            };
-            if (tx.unresolved == tx.words.size()) {
-                // No word resolved yet, so no per-word Ready checks.
-                LaneMask done = 0, zero_bits = 0;
-                for (const auto &w : tx.words) {
-                    const unsigned lane = w.second;
-                    const std::uint32_t v = readWord(pl.laneAddr[lane]);
-                    val_row[lane] = v;
-                    st_row[lane] = RegState::Ready;
-                    done |= LaneMask(1) << lane;
-                    zero_bits |= LaneMask(v == 0) << lane;
-                }
-                wave.resolveLanes(first_dst, done, zero_bits);
-                pl.wordsLeft -= tx.unresolved;
-                tx.unresolved = 0;
-                continue;
-            }
-            LaneMask done = 0, zero_bits = 0;
-            for (const auto &w : tx.words) {
-                const unsigned lane = w.second;
-                if (st_row[lane] == RegState::Ready)
-                    continue;
-                const std::uint32_t v = readWord(pl.laneAddr[lane]);
-                val_row[lane] = v;
-                st_row[lane] = RegState::Ready;
-                done |= LaneMask(1) << lane;
-                zero_bits |= LaneMask(v == 0) << lane;
-            }
-            wave.resolveLanes(first_dst, done, zero_bits);
-            const unsigned resolved = std::popcount(done);
-            tx.unresolved -= resolved;
-            pl.wordsLeft -= resolved;
-            continue;
-        }
-        for (const auto &[r, lane] : tx.words) {
-            if (wave.regState(first_dst + r, lane) == RegState::Ready)
-                continue;
-            wave.setVreg(first_dst + r, lane,
-                         isa::loadRegWord(mem_, pl.op, pl.laneAddr[lane],
-                                          r));
-            wave.setRegState(first_dst + r, lane, RegState::Ready);
-            --tx.unresolved;
-            --pl.wordsLeft;
-        }
+        fillBusyWords(wave, pl, tx, mem_, nullptr, 0);
     }
     finishPendingIfResolved(wave, pl);
 }
 
 void
-RabbitExecutor::resolveWord(Wavefront &wave, PendingLoad &pl,
-                            PendingLoad::Tx &tx, unsigned reg_off,
-                            unsigned lane, std::uint32_t value)
+RabbitExecutor::countEliminated(const ElimTally &tally)
 {
-    const unsigned reg = pl.firstDst + reg_off;
-    if (wave.regState(reg, lane) == RegState::Ready)
-        return;
-    wave.setVreg(reg, lane, value);
-    wave.setRegState(reg, lane, RegState::Ready);
-
-    panic_if(tx.unresolved == 0, "transaction resolved twice");
-    --tx.unresolved;
-    --pl.wordsLeft;
-
-    if (tx.unresolved == 0 && tx.outcome == TxOutcome::Unissued) {
-        // Never issued; classify with the timed path's exact rules.
-        if (tx.zeroedWords == tx.words.size()) {
-            tx.outcome = TxOutcome::EliminatedZero;
-            ++txs_elim_zero_;
-        } else if (tx.hadSuspended) {
-            tx.outcome = TxOutcome::EliminatedOtimes;
-            ++txs_elim_otimes_;
-        } else {
-            tx.outcome = TxOutcome::EliminatedDead;
-            ++txs_elim_dead_;
-        }
-    }
+    txs_elim_zero_ += tally.zero;
+    txs_elim_otimes_ += tally.otimes;
+    txs_elim_dead_ += tally.dead;
 }
 
 void
@@ -647,7 +404,7 @@ RabbitExecutor::finishPendingIfResolved(Wavefront &wave, PendingLoad &pl)
 {
     if (pl.wordsLeft == 0) {
         // Scavenge the transaction vector's heap block for the next
-        // recordLoad; clear() destroys the elements, so no stale
+        // recordLazyLoad; clear() destroys the elements, so no stale
         // transaction state survives the recycling.
         if (pl.txs.capacity() != 0 && tx_pool_.size() < txPoolCap) {
             pl.txs.clear();
@@ -665,41 +422,10 @@ RabbitExecutor::eliminateForRegs(Wavefront &wave, unsigned first,
         PendingLoad *pl = wave.pendingFor(r);
         if (!pl)
             continue;
-        const unsigned reg_off = r - pl->firstDst;
-        // Walk the recorded transactions instead of scanning lanes and
-        // re-finding each word's transaction by address: partial
-        // overwrites only ever drop words whose lane is already Ready,
-        // so the recorded words still cover every busy lane of r.
-        for (PendingLoad::Tx &tx : pl->txs) {
-            for (const auto &w : tx.words) {
-                if (w.first != reg_off)
-                    continue;
-                RegState st = wave.regState(r, w.second);
-                if (st == RegState::Pending ||
-                    st == RegState::Suspended) {
-                    resolveWord(wave, *pl, tx, reg_off, w.second, 0);
-                }
-            }
-        }
-        if (pl->wordsLeft == 0) {
-            finishPendingIfResolved(wave, *pl);
-            continue;
-        }
-        // Partial overwrite of a multi-register load: drop the dead
-        // words so a newer owner of this register cannot be
-        // reinterpreted (same rule as the CU's eliminateForRegs).
-        for (PendingLoad::Tx &tx : pl->txs) {
-            auto &ws = tx.words;
-            ws.erase(std::remove_if(
-                         ws.begin(), ws.end(),
-                         [&](const std::pair<std::uint8_t,
-                                             std::uint8_t> &w) {
-                             return w.first == reg_off &&
-                                    wave.regState(r, w.second) ==
-                                        RegState::Ready;
-                         }),
-                     ws.end());
-        }
+        ElimTally tally;
+        eliminateRegister(wave, *pl, r, tally);
+        countEliminated(tally);
+        finishPendingIfResolved(wave, *pl);
     }
 }
 

@@ -6,23 +6,21 @@
  * Named after ESESC's "rabbit mode": wavefronts outside the timing
  * sampling window are interpreted straight-line -- no event engine, no
  * cache or DRAM timing, no SIMD scheduling -- while the paper's sparsity
- * machinery runs at full fidelity. Loads are still recorded as
- * PendingLoad metadata, zero-mask probes still materialise zero words,
- * otimes counterpart checks still suspend lanes, and overwrite/retire
- * still permanently eliminates parked transactions, so every
- * transaction-level counter (txs_issued, txs_elim_*, store_txs*,
- * mask_reads/writes, ...) is accounted with the same rules as the timed
- * pipeline. Functional state (GlobalMemory, retired register values) is
- * bit-exact with the timed path for race-free kernels.
+ * machinery runs at full fidelity. Loads are recorded, zero-masked,
+ * suspended, issued and eliminated by the Lazy Unit rules of
+ * gpu/wavefront.hh that the timed ComputeUnit runs too (lane-mask
+ * arithmetic on the scoreboard bitmaps), so every transaction-level
+ * counter (txs_issued, txs_elim_*, store_txs*, mask_reads/writes, ...)
+ * is accounted by the same code as in the timed pipeline. Functional
+ * state (GlobalMemory, retired register values) is bit-exact with the
+ * timed path for race-free kernels.
  *
  * VALU instructions execute on the vectorized plane core shared with
  * the timed ComputeUnit (isa::evalValuPlane over the Wavefront's
  * contiguous register planes, suspended lanes passed as
  * PlaneSrc::zeroed bitmaps); the LAZYGPU_SCALAR_REF environment
  * variable (isa::scalarRefEnabled) routes them through the per-lane
- * scalar interpreter instead. Scoreboard decisions (suspension,
- * requalification, pending probes) are the 64-bit bitmap tests the CU
- * uses too (gpu/wavefront.hh), on both paths.
+ * scalar interpreter instead.
  *
  * The one deliberate approximation: memory responses are instantaneous.
  * Zero masks "arrive" at record time (in the timed pipeline they arrive
@@ -93,10 +91,7 @@ class RabbitExecutor
     void execStore(Wavefront &wave, const Instruction &inst);
     void retire(Wavefront &wave);
 
-    // --- Lazy Unit mirror (same rules as ComputeUnit) -------------------
-    void trySuspend(Wavefront &wave, PendingLoad &pl,
-                    const Instruction &inst, unsigned reg);
-
+    // --- Lazy Unit transport (the rules are gpu/wavefront.hh's) ---------
     /**
      * Make regs readable before inst executes: requalify stale
      * suspensions, then (if anything is still Pending) run the decode
@@ -122,8 +117,7 @@ class RabbitExecutor
     };
     void buildWindowCands(const Kernel &kernel);
 
-    void recordLoad(Wavefront &wave, const Instruction &inst,
-                    const std::array<Addr, wavefrontSize> &lane_addr);
+    void recordLazyLoad(Wavefront &wave, const Instruction &inst);
 
     /** Zero-mask arrival at record time (optimization (1)). */
     void applyZeroing(Wavefront &wave, PendingLoad &pl);
@@ -133,10 +127,8 @@ class RabbitExecutor
 
     void eliminateForRegs(Wavefront &wave, unsigned first,
                           unsigned nregs);
-    void resolveWord(Wavefront &wave, PendingLoad &pl,
-                     PendingLoad::Tx &tx, unsigned reg_off, unsigned lane,
-                     std::uint32_t value);
     void finishPendingIfResolved(Wavefront &wave, PendingLoad &pl);
+    void countEliminated(const ElimTally &tally);
 
     // --- EagerZC L1 Zero Cache residency approximation ------------------
     bool maskResident(Addr mask_addr) const;
@@ -170,7 +162,7 @@ class RabbitExecutor
     std::vector<Addr> scratch_mask_bytes_;
     std::vector<Addr> scratch_mask_txs_;
     std::vector<unsigned> scratch_retire_ids_;
-    /** Recycled PendingLoad::txs heap blocks (see recordLoad). */
+    /** Recycled PendingLoad::txs heap blocks (see recordLazyLoad). */
     std::vector<std::vector<PendingLoad::Tx>> tx_pool_;
     static constexpr std::size_t txPoolCap = 64;
     Coalescer coalescer_;

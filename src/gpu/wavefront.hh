@@ -1,23 +1,27 @@
 /**
  * @file
- * Wavefront: the architectural context of one 64-lane wavefront.
+ * Wavefront: the architectural context of one 64-lane wavefront, and
+ * the Lazy Unit rules both executors share.
  *
- * Holds the program counter, scalar registers, per-lane vector register
- * values, the per-(register, lane) scoreboard state that implements the
- * paper's busy bits, and the PendingLoad records that model the lazy
- * in-register transaction metadata of Sec 4.1. All members here are pure
- * state transitions; the ComputeUnit drives timing.
+ * Holds the program counter, scalar registers, the vector register
+ * planes, the scoreboard -- per register, one LaneMask each of busy,
+ * suspended and in-flight lanes (the paper's busy bits), plus a zero
+ * bitmap -- and the PendingLoad records that model the lazy
+ * in-register transaction metadata of Sec 4.1. A pending load names the
+ * words of each 32 B transaction as one lane mask per destination
+ * register, so every Lazy Unit step (record, mask zeroing, issue,
+ * fill, otimes suspension, elimination) is mask arithmetic against the
+ * scoreboard bitmaps. The free functions at the end are those steps,
+ * written once for the timed ComputeUnit and the RabbitExecutor; each
+ * executor adds only its own counters, lifecycle samples and transport.
  */
 
 #ifndef LAZYGPU_GPU_WAVEFRONT_HH
 #define LAZYGPU_GPU_WAVEFRONT_HH
 
-#include <algorithm>
 #include <array>
-#include <bit>
 #include <cstdint>
 #include <unordered_map>
-#include <utility>
 #include <vector>
 
 #include "core/exec_mode.hh"
@@ -28,129 +32,14 @@
 namespace lazygpu
 {
 
-/**
- * The (reg offset, lane) word list of one pending-load transaction.
- *
- * A coalesced transaction feeds at most transactionSize/4 distinct
- * words, which fit the inline buffer; broadcast access patterns (many
- * lanes reading the same word) spill to the heap. Loads are recorded on
- * the simulator's hottest paths, so keeping the common case
- * allocation-free matters -- std::vector here costs one heap round trip
- * per transaction.
- */
-class TxWordList
+class GlobalMemory;
+
+namespace inject
 {
-  public:
-    using value_type = std::pair<std::uint8_t, std::uint8_t>;
-    using iterator = value_type *;
-    using const_iterator = const value_type *;
+class Injector;
+}
 
-    static constexpr unsigned inlineCap = transactionSize / 4;
-
-    TxWordList() = default;
-    TxWordList(const TxWordList &o) { *this = o; }
-    TxWordList(TxWordList &&o) noexcept { *this = std::move(o); }
-    ~TxWordList() { delete[] heap_; }
-
-    TxWordList &
-    operator=(const TxWordList &o)
-    {
-        if (this == &o)
-            return *this;
-        reset();
-        if (o.size_ > inlineCap) {
-            heap_ = new value_type[o.cap_];
-            cap_ = o.cap_;
-        }
-        size_ = o.size_;
-        std::copy(o.data(), o.data() + o.size_, data());
-        return *this;
-    }
-
-    TxWordList &
-    operator=(TxWordList &&o) noexcept
-    {
-        if (this == &o)
-            return *this;
-        reset();
-        if (o.heap_) {
-            heap_ = o.heap_;
-            cap_ = o.cap_;
-            size_ = o.size_;
-            o.heap_ = nullptr;
-        } else {
-            size_ = o.size_;
-            std::copy(o.inline_.begin(), o.inline_.begin() + o.size_,
-                      inline_.begin());
-        }
-        o.cap_ = inlineCap;
-        o.size_ = 0;
-        return *this;
-    }
-
-    value_type *data() { return heap_ ? heap_ : inline_.data(); }
-    const value_type *
-    data() const
-    {
-        return heap_ ? heap_ : inline_.data();
-    }
-    iterator begin() { return data(); }
-    iterator end() { return data() + size_; }
-    const_iterator begin() const { return data(); }
-    const_iterator end() const { return data() + size_; }
-    unsigned size() const { return size_; }
-    bool empty() const { return size_ == 0; }
-
-    void
-    reserve(unsigned n)
-    {
-        if (n > cap_)
-            grow(n);
-    }
-
-    void
-    emplace_back(std::uint8_t reg_off, std::uint8_t lane)
-    {
-        if (size_ == cap_)
-            grow(cap_ * 2);
-        data()[size_++] = value_type(reg_off, lane);
-    }
-
-    iterator
-    erase(iterator first, iterator last)
-    {
-        std::copy(last, end(), first);
-        size_ -= static_cast<unsigned>(last - first);
-        return first;
-    }
-
-  private:
-    void
-    grow(unsigned n)
-    {
-        value_type *bigger = new value_type[n];
-        std::copy(data(), data() + size_, bigger);
-        delete[] heap_;
-        heap_ = bigger;
-        cap_ = n;
-    }
-
-    void
-    reset()
-    {
-        delete[] heap_;
-        heap_ = nullptr;
-        cap_ = inlineCap;
-        size_ = 0;
-    }
-
-    std::array<value_type, inlineCap> inline_{};
-    value_type *heap_ = nullptr;
-    unsigned size_ = 0;
-    unsigned cap_ = inlineCap;
-};
-
-/** Per-(vreg, lane) scoreboard state. */
+/** Per-(vreg, lane) scoreboard state, as read off the bitmaps. */
 enum class RegState : std::uint8_t
 {
     Ready = 0,
@@ -170,6 +59,9 @@ enum class TxOutcome : std::uint8_t
     EliminatedDead,   //!< overwritten / retired while still pending
 };
 
+/** Destination registers of the widest load (LoadDwordX4). */
+constexpr unsigned maxLoadRegs = 4;
+
 /**
  * One lazily recorded load instruction (Sec 4.1, Fig 6).
  *
@@ -181,7 +73,7 @@ enum class TxOutcome : std::uint8_t
  */
 struct PendingLoad
 {
-    unsigned id = 0; //!< unique per wavefront; assigned by addPending
+    unsigned id = 0; //!< unique per wavefront; see emplacePending
     Opcode op = Opcode::LoadDword;
     unsigned firstDst = 0;
     unsigned numRegs = 1;
@@ -195,7 +87,6 @@ struct PendingLoad
      * Read Req strictly after the Zero Read Rsp).
      */
     bool issueRequested = false;
-    bool dataIssued = false; //!< issue was triggered at least once
     unsigned inflightTxs = 0; //!< issued but not yet completed
     Tick recordTick = 0; //!< when the Lazy Unit recorded the load
 
@@ -203,28 +94,22 @@ struct PendingLoad
     struct Tx
     {
         Addr addr = 0; //!< transaction-aligned
-        /** The (reg offset, lane) words this transaction feeds. */
-        TxWordList words;
-        TxOutcome outcome = TxOutcome::Unissued;
-        unsigned unresolved = 0;   //!< words not yet Ready/eliminated
+        /** The words this transaction feeds: lanes of firstDst + r. */
+        std::array<LaneMask, maxLoadRegs> lanes{};
+        /**
+         * Words in lanes, the denominator of the Fig 14 zero class. A
+         * partial overwrite drops the overwritten register's Ready
+         * words from lanes and from this count, zeroed ones included.
+         */
+        unsigned words = 0;
+        unsigned unresolved = 0;   //!< words still busy
         unsigned zeroedWords = 0;  //!< words resolved by the zero mask
+        TxOutcome outcome = TxOutcome::Unissued;
         bool hadSuspended = false; //!< ever held a (2)-suspended word
     };
 
     std::vector<Tx> txs;
     unsigned wordsLeft = 0; //!< unresolved words across all txs
-
-    /** The transaction covering the given word, or nullptr. */
-    Tx *
-    txFor(Addr word_addr)
-    {
-        const Addr aligned = word_addr & ~Addr(transactionSize - 1);
-        for (Tx &tx : txs) {
-            if (tx.addr == aligned)
-                return &tx;
-        }
-        return nullptr;
-    }
 
     /** Per-lane word address for destination register first+reg_off. */
     Addr
@@ -263,11 +148,11 @@ class Wavefront
     // --- Vector register file slice ------------------------------------
     //
     // Each architectural register is one contiguous 64-lane plane
-    // (values_[r]), shadowed by three scoreboard bitmaps (busy /
-    // suspended / in-flight lanes as one LaneMask each) and a zero
-    // bitmap (bit set iff the lane's word is 0). Every per-lane write
-    // keeps the bitmaps coherent; the bulk plane writers below take the
-    // whole-mask shortcuts instead of 64 read-modify-writes.
+    // (values_[r]) with four bitmaps: busy, suspended and in-flight
+    // lanes, the scoreboard itself (suspended and in-flight are disjoint
+    // subsets of busy; a busy lane in neither is Pending), and the zero
+    // bitmap (bit set iff the lane's word is 0). Every write keeps the
+    // zero bitmap coherent with the plane.
 
     std::uint32_t
     vreg(unsigned r, unsigned lane) const
@@ -283,15 +168,20 @@ class Wavefront
         zero_[r] = (zero_[r] & ~bit) | (LaneMask(v == 0) << lane);
     }
 
-    RegState regState(unsigned r, unsigned lane) const
+    RegState
+    regState(unsigned r, unsigned lane) const
     {
-        return state_[r][lane];
+        const LaneMask bit = LaneMask(1) << lane;
+        if (!(busy_[r] & bit))
+            return RegState::Ready;
+        if (inflight_[r] & bit)
+            return RegState::InFlight;
+        return susp_[r] & bit ? RegState::Suspended : RegState::Pending;
     }
 
     void
     setRegState(unsigned r, unsigned lane, RegState s)
     {
-        state_[r][lane] = s;
         const LaneMask bit = LaneMask(1) << lane;
         busy_[r] = (busy_[r] & ~bit) |
                    (LaneMask(s != RegState::Ready) << lane);
@@ -317,49 +207,41 @@ class Wavefront
     /** Lanes of register r whose word is zero (zero-probe bitmap). */
     LaneMask zeroMask(unsigned r) const { return zero_[r]; }
 
-    // Whole-register rows for the vectorized bulk paths. A caller that
-    // writes valueRow or stateRow directly must restore bitmap
-    // coherence through the bulk helpers below before any reader runs.
+    // Whole-register row for the vectorized bulk paths. A caller that
+    // writes it directly must restore the zero bitmap (setZeroMask,
+    // refreshZeroMask or resolveLanes) before any reader runs.
     std::uint32_t *valueRow(unsigned r) { return values_[r].data(); }
     const std::uint32_t *valueRow(unsigned r) const
     {
         return values_[r].data();
     }
-    RegState *stateRow(unsigned r) { return state_[r].data(); }
 
-    /** Bulk record-time fill: every lane of r becomes Pending. */
+    /** Record time: every lane of r becomes Pending. */
     void
     markAllPending(unsigned r)
     {
-        RegState *st = state_[r].data();
-        std::fill(st, st + wavefrontSize, RegState::Pending);
         busy_[r] = allLanes;
         susp_[r] = 0;
         inflight_[r] = 0;
     }
 
-    /** Bulk Pending -> Suspended for the lanes in m. */
-    void
-    suspendLanes(unsigned r, LaneMask m)
-    {
-        for (LaneMask t = m; t; t &= t - 1)
-            state_[r][std::countr_zero(t)] = RegState::Suspended;
-        susp_[r] |= m; // the lanes were Pending: already busy
-    }
+    /** Pending -> Suspended for the lanes in m. */
+    void suspendLanes(unsigned r, LaneMask m) { susp_[r] |= m; }
 
-    /** Bulk Suspended -> Pending (requalification) for the lanes in m. */
+    /** Suspended -> Pending (requalification) for the lanes in m. */
+    void requalifyLanes(unsigned r, LaneMask m) { susp_[r] &= ~m; }
+
+    /** Pending or Suspended -> InFlight for the lanes in m. */
     void
-    requalifyLanes(unsigned r, LaneMask m)
+    issueLanes(unsigned r, LaneMask m)
     {
-        for (LaneMask t = m; t; t &= t - 1)
-            state_[r][std::countr_zero(t)] = RegState::Pending;
+        inflight_[r] |= m;
         susp_[r] &= ~m;
     }
 
     /**
-     * Bulk resolve bookkeeping: the caller has already written the
-     * value and state rows of the lanes in m (now Ready); zero_bits
-     * carries their new zero-bitmap bits (subset of m).
+     * The lanes in m become Ready: the caller has already written their
+     * values; zero_bits carries their new zero-bitmap bits (subset of m).
      */
     void
     resolveLanes(unsigned r, LaneMask m, LaneMask zero_bits)
@@ -387,13 +269,6 @@ class Wavefront
     bool anyInFlight(unsigned r) const { return inflight_[r] != 0; }
 
     // --- Pending (lazy) loads -------------------------------------------
-    /** True iff some pending load owns register r (cheap precheck). */
-    bool
-    hasPendingOwner(unsigned r) const
-    {
-        return r < owner_.size() && owner_[r] != nullptr;
-    }
-
     // The pending load owning register r, or nullptr. pendings_ is
     // node-based, so the owner pointers stay valid across rehashes and
     // unrelated insert/erase.
@@ -409,17 +284,13 @@ class Wavefront
         return r < owner_.size() ? owner_[r] : nullptr;
     }
 
-    /** Record a new pending load; assigns it a unique id. */
-    PendingLoad &addPending(PendingLoad &&pl);
-
     /**
-     * Create an empty pending load in place (avoids moving the filled
-     * record into the map); the caller fills it, then claims register
-     * ownership with claimOwners.
+     * Create an empty pending load in place with a fresh id; the caller
+     * fills it, then claims register ownership with claimOwners.
      */
     PendingLoad &emplacePending();
 
-    /** Point pl's destination registers at it (addPending's tail). */
+    /** Point pl's destination registers at it. */
     void claimOwners(PendingLoad &pl);
 
     /** Remove a fully resolved pending load by id. */
@@ -433,12 +304,6 @@ class Wavefront
     const std::unordered_map<unsigned, PendingLoad> &pendings() const
     {
         return pendings_;
-    }
-
-    bool
-    hasUnfinishedMemory() const
-    {
-        return !pendings_.empty() || outstanding_txs_ > 0;
     }
 
     /** Count of this wavefront's in-flight data transactions. */
@@ -456,7 +321,6 @@ class Wavefront
     const Kernel *kernel_;
     unsigned wid_;
     std::vector<std::array<std::uint32_t, wavefrontSize>> values_;
-    std::vector<std::array<RegState, wavefrontSize>> state_;
     std::vector<LaneMask> busy_;     //!< non-Ready lanes per vreg
     std::vector<LaneMask> susp_;     //!< Suspended lanes per vreg
     std::vector<LaneMask> inflight_; //!< InFlight lanes per vreg
@@ -465,8 +329,6 @@ class Wavefront
     unsigned next_pending_id_ = 0;
     /** reg -> the pending load that owns it, or nullptr. */
     std::vector<PendingLoad *> owner_;
-
-    friend class ComputeUnit;
 };
 
 // --- Operand access and the otimes tests, shared by both executors -------
@@ -539,6 +401,93 @@ zeroCounterpartLanes(const Wavefront &wave, const Instruction &inst,
 bool requalifyOperands(Wavefront &wave, const Instruction &inst,
                        const std::vector<unsigned> &regs, ExecMode mode,
                        bool skip_requalify);
+
+// --- The Lazy Unit rules, shared by both executors -----------------------
+
+/** Transactions one call below eliminated, by Fig 14 class. */
+struct ElimTally
+{
+    unsigned zero = 0;
+    unsigned otimes = 0;
+    unsigned dead = 0;
+};
+
+/**
+ * Record load inst as a new pending load of wave (Sec 4.1): per-lane
+ * addresses, the 32 B transactions in the order lanes first touch them
+ * (lane by lane, registers in order within a lane), and every
+ * destination lane Pending. txs is empty storage to reuse (the rabbit
+ * recycles it); the destination registers must be Ready.
+ */
+PendingLoad &recordLoad(Wavefront &wave, const Instruction &inst,
+                        Tick now, std::vector<PendingLoad::Tx> txs = {});
+
+/**
+ * Sec 4.1's encodability rule: true iff every lane shares lane 0's upper
+ * address bits, so the load can be parked in its registers.
+ */
+bool encodable(const PendingLoad &pl);
+
+/** True iff some word of tx is Pending, so issuing it fetches data. */
+bool hasPendingWord(const Wavefront &wave, const PendingLoad &pl,
+                    const PendingLoad::Tx &tx);
+
+/** True iff every busy word of tx reads zero in mem (EagerZC's probe). */
+bool busyWordsZero(const GlobalMemory &mem, const Wavefront &wave,
+                   const PendingLoad &pl, const PendingLoad::Tx &tx);
+
+/** Issue tx: it is Issued, and its busy words go InFlight. */
+void markIssued(Wavefront &wave, const PendingLoad &pl,
+                PendingLoad::Tx &tx);
+
+/**
+ * Zero-mask arrival (optimization (1)) for the Unissued transactions of
+ * pl in the data range [lo, hi): every Pending word that reads zero
+ * resolves as zero, without memory traffic. Probes visit transactions in
+ * order and their words lane by lane, registers in order within a lane;
+ * inj, when non-null, may invert one (ZeroMaskFlip).
+ *
+ * @return the words zeroed.
+ */
+unsigned zeroPendingWords(Wavefront &wave, PendingLoad &pl, Addr lo,
+                          Addr hi, const GlobalMemory &mem,
+                          inject::Injector *inj, Tick now,
+                          ElimTally &tally);
+
+/**
+ * A data response for an Issued tx: every busy word resolves with its
+ * value in mem, lane by lane and registers in order within a lane; inj,
+ * when non-null, may corrupt one value (MemRespFlip).
+ */
+void fillBusyWords(Wavefront &wave, PendingLoad &pl, PendingLoad::Tx &tx,
+                   const GlobalMemory &mem, inject::Injector *inj,
+                   Tick now);
+
+/** EagerZC's short-circuit response: every busy word of tx is zero. */
+void zeroBusyWords(Wavefront &wave, PendingLoad &pl, PendingLoad::Tx &tx);
+
+/**
+ * Optimization (2) for source register reg of inst, owned by pl:
+ * suspend its Pending lanes whose otimes counterpart is a Ready zero,
+ * and flag their transactions.
+ *
+ * @return the lanes suspended.
+ */
+LaneMask suspendForOtimes(Wavefront &wave, PendingLoad &pl,
+                          const Instruction &inst, unsigned reg,
+                          ExecMode mode);
+
+/**
+ * Dead-on-overwrite (or retire) elimination of register reg, owned by
+ * pl: its Pending and Suspended lanes resolve as zero and are never
+ * fetched. When pl survives for other registers, reg's Ready words
+ * leave pl's transactions (lanes and words), so no later response of pl
+ * can touch a newer owner of reg. InFlight words stay: the WAW stall
+ * keeps them from an overwrite, so they only occur at retire, where the
+ * data response still needs them.
+ */
+void eliminateRegister(Wavefront &wave, PendingLoad &pl, unsigned reg,
+                       ElimTally &tally);
 
 } // namespace lazygpu
 

@@ -55,7 +55,14 @@ class ByteWriter
     void
     bytes(const std::uint8_t *p, std::size_t n)
     {
-        buf_.insert(buf_.end(), p, p + n);
+        // resize + memcpy rather than a range insert: GCC 12 misreads
+        // the inlined insert of a 4-byte tag as an overflowing write
+        // (-Wstringop-overflow).
+        if (n == 0)
+            return;
+        const std::size_t at = buf_.size();
+        buf_.resize(at + n);
+        std::memcpy(buf_.data() + at, p, n);
     }
 
     /** Four-character section tag (format self-description). */

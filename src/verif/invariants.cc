@@ -1,5 +1,6 @@
 #include "verif/invariants.hh"
 
+#include <bit>
 #include <vector>
 
 #include "sim/logging.hh"
@@ -18,18 +19,19 @@ checkWavefront(const Wavefront &wave, ExecMode mode)
     // A load's destination range may be partially re-owned by a newer
     // load (multi-register loads overlap); ownership is therefore
     // per-register, from the wavefront's owner map. A register with any
-    // unresolved word in some load's transaction list must be owned by
-    // exactly that load -- a stale word surviving past eliminateForRegs
-    // is how responses corrupt a newer writer's scoreboard state.
+    // busy word in some load's transactions must be owned by exactly
+    // that load -- a stale word surviving past eliminateRegister is how
+    // responses corrupt a newer writer's scoreboard state.
     std::vector<const PendingLoad *> holder(nvregs, nullptr);
     for (const auto &[id, pl] : wave.pendings()) {
         panic_if(pl.firstDst + pl.numRegs > nvregs,
                  "wid %u: pending load %u claims vreg %u of %u", wid, id,
                  pl.firstDst + pl.numRegs - 1, nvregs);
         for (const auto &tx : pl.txs) {
-            for (const auto &[r, lane] : tx.words) {
+            for (unsigned r = 0; r < pl.numRegs; ++r) {
                 const unsigned reg = pl.firstDst + r;
-                if (wave.regState(reg, lane) == RegState::Ready)
+                const LaneMask busy = tx.lanes[r] & wave.busyMask(reg);
+                if (!busy)
                     continue;
                 panic_if(holder[reg] != nullptr && holder[reg] != &pl,
                          "wid %u: vreg %u has unresolved words in two "
@@ -37,38 +39,30 @@ checkWavefront(const Wavefront &wave, ExecMode mode)
                 holder[reg] = &pl;
                 panic_if(wave.pendingFor(reg) != &pl,
                          "wid %u: load %u holds an unresolved word of "
-                         "vreg %u lane %u it no longer owns", wid, id,
-                         reg, lane);
+                         "vreg %u lane %d it no longer owns", wid, id,
+                         reg, std::countr_zero(busy));
             }
         }
     }
 
     unsigned suspended_lanes = 0;
     for (unsigned r = 0; r < nvregs; ++r) {
-        LaneMask busy = 0, susp = 0, infl = 0, zero = 0;
-        for (unsigned lane = 0; lane < wavefrontSize; ++lane) {
-            const RegState st = wave.regState(r, lane);
-            const LaneMask bit = LaneMask(1) << lane;
-            busy |= st != RegState::Ready ? bit : 0;
-            susp |= st == RegState::Suspended ? bit : 0;
-            infl |= st == RegState::InFlight ? bit : 0;
-            zero |= wave.vreg(r, lane) == 0 ? bit : 0;
-            suspended_lanes += st == RegState::Suspended;
-        }
-        panic_if(busy != wave.busyMask(r),
-                 "wid %u: vreg %u busy bitmap %llx, recount %llx", wid, r,
-                 static_cast<unsigned long long>(wave.busyMask(r)),
-                 static_cast<unsigned long long>(busy));
-        panic_if(susp != wave.suspendedMask(r),
-                 "wid %u: vreg %u suspended bitmap %llx, recount %llx",
-                 wid, r,
-                 static_cast<unsigned long long>(wave.suspendedMask(r)),
-                 static_cast<unsigned long long>(susp));
-        panic_if(infl != wave.inFlightMask(r),
-                 "wid %u: vreg %u in-flight bitmap %llx, recount %llx",
-                 wid, r,
-                 static_cast<unsigned long long>(wave.inFlightMask(r)),
-                 static_cast<unsigned long long>(infl));
+        const LaneMask busy = wave.busyMask(r);
+        const LaneMask susp = wave.suspendedMask(r);
+        const LaneMask infl = wave.inFlightMask(r);
+        panic_if(susp & ~busy,
+                 "wid %u: vreg %u suspended lanes %llx are not busy", wid,
+                 r, static_cast<unsigned long long>(susp & ~busy));
+        panic_if(infl & ~busy,
+                 "wid %u: vreg %u in-flight lanes %llx are not busy", wid,
+                 r, static_cast<unsigned long long>(infl & ~busy));
+        panic_if(susp & infl,
+                 "wid %u: vreg %u lanes %llx are both suspended and in "
+                 "flight", wid, r,
+                 static_cast<unsigned long long>(susp & infl));
+        LaneMask zero = 0;
+        for (unsigned lane = 0; lane < wavefrontSize; ++lane)
+            zero |= LaneMask(wave.vreg(r, lane) == 0) << lane;
         panic_if(zero != wave.zeroMask(r),
                  "wid %u: vreg %u zero bitmap %llx, recount %llx", wid, r,
                  static_cast<unsigned long long>(wave.zeroMask(r)),
@@ -76,6 +70,7 @@ checkWavefront(const Wavefront &wave, ExecMode mode)
         panic_if(busy != 0 && wave.pendingFor(r) == nullptr,
                  "wid %u: vreg %u has busy lanes but no pending load",
                  wid, r);
+        suspended_lanes += std::popcount(susp);
     }
     panic_if(suspended_lanes != 0 && !hasOtimesElimination(mode),
              "wid %u: %u Suspended lanes in mode %s", wid, suspended_lanes,
@@ -87,31 +82,26 @@ checkWavefront(const Wavefront &wave, ExecMode mode)
         unsigned words_left = 0;
         for (const auto &tx : pl.txs) {
             unsigned not_ready = 0;
-            for (const auto &[r, lane] : tx.words) {
-                const RegState st =
-                    wave.regState(pl.firstDst + r, lane);
-                if (st == RegState::Ready)
-                    continue;
-                ++not_ready;
-                if (st == RegState::InFlight) {
-                    panic_if(tx.outcome != TxOutcome::Issued,
-                             "wid %u: InFlight word of vreg %u lane %u "
-                             "in a transaction never issued", wid,
-                             pl.firstDst + r, lane);
-                } else {
-                    panic_if(tx.outcome != TxOutcome::Unissued,
-                             "wid %u: %s word of vreg %u lane %u in a "
-                             "resolved transaction", wid,
-                             st == RegState::Pending ? "Pending"
-                                                     : "Suspended",
-                             pl.firstDst + r, lane);
-                }
-                if (st == RegState::Suspended) {
-                    panic_if(!tx.hadSuspended,
-                             "wid %u: Suspended word of vreg %u lane %u "
-                             "in a transaction not flagged hadSuspended",
-                             wid, pl.firstDst + r, lane);
-                }
+            for (unsigned r = 0; r < pl.numRegs; ++r) {
+                const unsigned reg = pl.firstDst + r;
+                const LaneMask busy = tx.lanes[r] & wave.busyMask(reg);
+                const LaneMask infl = busy & wave.inFlightMask(reg);
+                const LaneMask parked = busy & ~infl;
+                const LaneMask susp = busy & wave.suspendedMask(reg);
+                not_ready += std::popcount(busy);
+                panic_if(infl && tx.outcome != TxOutcome::Issued,
+                         "wid %u: InFlight word of vreg %u lane %d in a "
+                         "transaction never issued", wid, reg,
+                         std::countr_zero(infl));
+                panic_if(parked && tx.outcome != TxOutcome::Unissued,
+                         "wid %u: %s word of vreg %u lane %d in a "
+                         "resolved transaction", wid,
+                         susp & parked ? "Suspended" : "Pending", reg,
+                         std::countr_zero(parked));
+                panic_if(susp && !tx.hadSuspended,
+                         "wid %u: Suspended word of vreg %u lane %d in a "
+                         "transaction not flagged hadSuspended", wid, reg,
+                         std::countr_zero(susp));
             }
             panic_if(not_ready != tx.unresolved,
                      "wid %u: load %u tx 0x%llx unresolved %u, "

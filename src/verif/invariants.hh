@@ -27,11 +27,14 @@ namespace verif
 /**
  * Check every scoreboard / Lazy Unit invariant of one wavefront:
  *
- *  - busy_lanes_[r] equals a fresh recount of non-Ready lanes;
- *  - every register with busy lanes is owned by some pending load;
+ *  - per register, the suspended and in-flight bitmaps are disjoint
+ *    subsets of the busy bitmap, and the zero bitmap equals a fresh
+ *    recount of zero-valued lanes;
+ *  - every register with busy lanes is owned by some pending load, and
+ *    only its owner's transactions hold its busy words;
  *  - per pending load, wordsLeft equals the sum of its transactions'
  *    unresolved counts, and each transaction's unresolved count equals
- *    its number of non-Ready destination words;
+ *    its number of busy destination words;
  *  - InFlight words live in Issued transactions, Pending/Suspended
  *    words in Unissued ones;
  *  - Suspended states appear only when optimization (2) is active, and

@@ -158,5 +158,19 @@ TEST(InvariantsDeathTest, CorruptScoreboardIsDetected)
                  "busy lanes but no pending load");
 }
 
+TEST(InvariantsDeathTest, SuspendedInFlightLaneIsDetected)
+{
+    KernelBuilder kb("corrupt");
+    kb.valu(Opcode::VMov, 0, Src::imm(0));
+    const Kernel k = kb.build(1);
+    Wavefront wave(k, 0);
+    // Suspending a lane whose request is already in the memory system
+    // leaves it in two scoreboard states at once.
+    wave.setRegState(0, 3, RegState::InFlight);
+    wave.suspendLanes(0, LaneMask(1) << 3);
+    EXPECT_DEATH(verif::checkWavefront(wave, ExecMode::LazyGPU),
+                 "both suspended and in flight");
+}
+
 } // namespace
 } // namespace lazygpu

@@ -10,8 +10,10 @@
 #include <string>
 
 #include "analysis/harness.hh"
+#include "gpu/gpu.hh"
 #include "inject/campaign.hh"
 #include "inject/fault.hh"
+#include "isa/kernel.hh"
 #include "sim/sim_error.hh"
 #include "workloads/suite.hh"
 
@@ -198,6 +200,57 @@ TEST(Inject, LaneBitmapFlipIsLiveOnlyUnderSuspension)
     const RunResult lazycore =
         inject::runFaultCell(core, make, plan, nullptr, kLimitCycles);
     EXPECT_EQ("masked", lazycore.tag);
+}
+
+TEST(Inject, MemRespFlipWalksWordsLaneByLane)
+{
+    // The flip lands on the first word a data response resolves, so it
+    // pins the fill order: lane by lane, registers in order within a
+    // lane. Every input word is nonzero except register 0 of lane 0,
+    // which the zero mask resolves in the modes that have one; there
+    // the flip moves on to register 1 of lane 0.
+    const auto word = [](unsigned r, unsigned lane) {
+        return r == 0 && lane == 0 ? 0u : (r << 8) | (lane + 1);
+    };
+    for (ExecMode mode : {ExecMode::Baseline, ExecMode::LazyCore,
+                          ExecMode::LazyZC, ExecMode::LazyGPU}) {
+        SCOPED_TRACE(toString(mode));
+        GlobalMemory mem;
+        const Addr in = mem.alloc(4096);
+        const Addr out = mem.alloc(4096);
+        for (unsigned lane = 0; lane < wavefrontSize; ++lane) {
+            for (unsigned r = 0; r < 4; ++r)
+                mem.writeU32(in + 16ull * lane + 4 * r, word(r, lane));
+        }
+        KernelBuilder kb("flip_order");
+        kb.threadId(0);
+        kb.valu(Opcode::VShlU32, 1, Src::vreg(0), Src::imm(4));
+        kb.load(Opcode::LoadDwordX4, 4, 1, in);
+        kb.valu(Opcode::VShlU32, 2, Src::vreg(0), Src::imm(2));
+        for (unsigned r = 0; r < 4; ++r)
+            kb.store(Opcode::StoreDword, 2, 4 + r, out + 256 * r);
+
+        GpuConfig cfg = mode == ExecMode::Baseline
+                            ? GpuConfig::r9Nano()
+                            : GpuConfig::lazyGpu(mode);
+        cfg.numShaderArrays = 1;
+        cfg.cusPerSa = 1;
+        cfg.l2Banks = 1;
+        cfg.injectPlan = "site=mem-resp-flip,cycle=0,cu=0,seed=1,bit=31";
+        Gpu gpu(cfg, mem);
+        gpu.run(kb.build(1));
+
+        const unsigned flipped = hasZeroElimination(mode) ? 1 : 0;
+        for (unsigned r = 0; r < 4; ++r) {
+            for (unsigned lane = 0; lane < wavefrontSize; ++lane) {
+                std::uint32_t want = word(r, lane);
+                if (r == flipped && lane == 0)
+                    want ^= 0x80000000u;
+                EXPECT_EQ(want, mem.readU32(out + 256 * r + 4 * lane))
+                    << "register " << r << " lane " << lane;
+            }
+        }
+    }
 }
 
 TEST(Inject, VerdictsAreDeterministic)

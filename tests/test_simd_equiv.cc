@@ -466,14 +466,13 @@ TEST(SimdEquiv, WavefrontBulkHelpersKeepBitmapsCoherent)
     EXPECT_EQ(susp & ~requal, w.suspendedMask(1));
     EXPECT_EQ(RegState::Pending, w.regState(1, 4));
 
-    // Resolve half the lanes: write values/states, then the bulk
-    // bookkeeping must fold busy/susp/inflight and the zero bitmap.
+    // Resolve half the lanes: write values, then the bulk bookkeeping
+    // must fold busy/susp/inflight and the zero bitmap.
     const LaneMask done = 0x00000000FFFFFFFFull;
     LaneMask zero_bits = 0;
     for (unsigned lane = 0; lane < 32; ++lane) {
         const std::uint32_t v = (lane & 1) ? 0u : lane;
         w.valueRow(1)[lane] = v;
-        w.stateRow(1)[lane] = RegState::Ready;
         zero_bits |= LaneMask(v == 0) << lane;
     }
     w.resolveLanes(1, done, zero_bits);
