@@ -1,35 +1,34 @@
 /**
  * @file
  * Engine performance tracking: BENCH_perf.json records wall-clock
- * throughput so scheduler regressions show up in the artifact history.
+ * throughput of the parts simbench does not time on their own.
  *
- * Two measurements:
- *  1. A scheduler microbenchmark driving an identical synthetic event
- *     mix (latency deltas shaped like the simulator's cache/DRAM
- *     round trips, capture sizes shaped like its completion lambdas)
- *     through (a) the legacy std::function + std::priority_queue
- *     scheduler the engine used before the pooled timing wheel, and
- *     (b) the production Engine. Their ratio is the scheduler speedup.
- *  2. The Figure 3 MM sweep, single-threaded, timed end to end:
- *     simulated cycles per wall second on the full simulator.
+ *  1. The event engine's throughput on a synthetic event mix (latency
+ *     deltas shaped like the simulator's cache/DRAM round trips, capture
+ *     sizes shaped like its completion lambdas), with the pool counters
+ *     DESIGN.md §8 relies on.
+ *  2. Observability, fault-injection and cycle-accounting A/B runs: the
+ *     cost of each subsystem when off.
+ *  3. The vectorized functional backend against the scalar oracle and
+ *     its -fno-tree-vectorize twin.
+ *  4. Intra-GPU parallel simulation at 1/2/4/8 domain threads.
  *
- * Unlike the figure artifacts, BENCH_perf.json is machine- and
- * run-dependent by design: it reports wall-clock throughput, not
- * simulated results.
+ * End-to-end simulator speed (the Fig 3 MM grid, the sampled 64-CU
+ * run) is simbench's (simbench/run.py). Unlike the figure artifacts,
+ * BENCH_perf.json is machine- and run-dependent by design: it reports
+ * wall-clock throughput, not simulated results.
  */
 
 #include <sys/resource.h>
 
 #include <chrono>
-#include <cmath>
 #include <cstdio>
 #include <functional>
-#include <queue>
 #include <thread>
 #include <vector>
 
 #include "analysis/json_writer.hh"
-#include "analysis/parallel_runner.hh"
+#include "analysis/harness.hh"
 #include "bench/bench_main.hh"
 #include "isa/kernel.hh"
 #include "isa/simd.hh"
@@ -44,57 +43,6 @@ using namespace lazygpu;
 namespace
 {
 
-/**
- * The event scheduler the engine used before the pooled timing wheel:
- * one heap-allocated std::function per event, ordered by a (when, seq)
- * binary heap. Kept here as the fixed reference point the speedup in
- * BENCH_perf.json is measured against.
- */
-class LegacyScheduler
-{
-  public:
-    Tick now() const { return now_; }
-
-    void
-    schedule(Tick when, std::function<void()> fn)
-    {
-        q_.push(Ev{when, seq_++, std::move(fn)});
-    }
-
-    void
-    run()
-    {
-        while (!q_.empty()) {
-            Ev ev = std::move(const_cast<Ev &>(q_.top()));
-            q_.pop();
-            now_ = ev.when;
-            ev.fn();
-        }
-    }
-
-  private:
-    struct Ev
-    {
-        Tick when;
-        std::uint64_t seq;
-        std::function<void()> fn;
-    };
-    struct Order
-    {
-        bool
-        operator()(const Ev &a, const Ev &b) const
-        {
-            if (a.when != b.when)
-                return a.when > b.when;
-            return a.seq > b.seq;
-        }
-    };
-
-    std::priority_queue<Ev, std::vector<Ev>, Order> q_;
-    Tick now_ = 0;
-    std::uint64_t seq_ = 0;
-};
-
 double
 secondsSince(std::chrono::steady_clock::time_point t0)
 {
@@ -104,15 +52,13 @@ secondsSince(std::chrono::steady_clock::time_point t0)
 }
 
 /**
- * Drive the synthetic mix through any scheduler with schedule()/run().
- * 64 independent self-rescheduling chains; deltas cycle pseudo-randomly
- * over the simulator's typical latencies (L1 hit .. queued DRAM). The
- * callbacks capture ~40 bytes, like the simulator's transaction
- * completions, so the legacy scheduler pays its real allocation cost.
+ * Drive the synthetic mix through the engine: 64 independent
+ * self-rescheduling chains; deltas cycle pseudo-randomly over the
+ * simulator's typical latencies (L1 hit .. queued DRAM). The callbacks
+ * capture ~40 bytes, like the simulator's transaction completions.
  */
-template <typename Sched>
 double
-eventsPerSecond(Sched &sched, std::uint64_t total_events)
+eventsPerSecond(Engine &sched, std::uint64_t total_events)
 {
     constexpr unsigned kChains = 64;
     static constexpr Tick kDeltas[] = {1,   2,   4,   8,    16,  40,
@@ -335,47 +281,9 @@ main(int argc, char **argv)
 
     std::printf("scheduler micro (%llu events, 64 chains):\n",
                 static_cast<unsigned long long>(kMicroEvents));
-    std::printf("legacy std::function priority queue:\n");
-    LegacyScheduler legacy;
-    const double legacy_eps = eventsPerSecond(legacy, kMicroEvents);
-
-    std::printf("pooled timing-wheel engine:\n");
     Engine engine;
     const double engine_eps = eventsPerSecond(engine, kMicroEvents);
-
-    const double micro_speedup = engine_eps / legacy_eps;
-    std::printf("  legacy: %.0f events/s\n  engine: %.0f events/s\n"
-                "  speedup: %.2fx\n\n",
-                legacy_eps, engine_eps, micro_speedup);
-
-    // Figure 3 sweep, same grid as fig03_mm_sweep, jobs pinned to 1 so
-    // the wall-clock number means one core's simulation throughput.
-    std::printf("fig03 MM sweep (dense, 32..4096 waves, jobs=1):\n");
-    std::vector<RunJob> jobs;
-    for (unsigned waves = 32; waves <= 4096; waves *= 2) {
-        WorkloadParams p;
-        p.sparsity = 0.0;
-        p.scale = 16;
-        jobs.push_back(RunJob{GpuConfig::r9Nano().scaled(4),
-                              [p, waves]() { return makeMM(p, waves); }});
-        GpuConfig lazy = GpuConfig::r9Nano().scaled(4);
-        lazy.mode = ExecMode::LazyCore;
-        jobs.push_back(
-            RunJob{lazy, [p, waves]() { return makeMM(p, waves); }});
-    }
-    const auto t0 = std::chrono::steady_clock::now();
-    const std::vector<RunResult> res = ParallelRunner(1).run(jobs);
-    const double sweep_secs = secondsSince(t0);
-
-    std::uint64_t sim_cycles = 0;
-    for (const RunResult &r : res)
-        sim_cycles += r.cycles;
-    const double cycles_per_sec =
-        static_cast<double>(sim_cycles) / sweep_secs;
-
-    std::printf("  wall: %.2fs, %llu simulated cycles, %.0f cycles/s\n",
-                sweep_secs, static_cast<unsigned long long>(sim_cycles),
-                cycles_per_sec);
+    std::printf("  engine: %.0f events/s\n", engine_eps);
 
     // Observability A/B: the same cell with the trace sink detached
     // and attached. With tracing off every instrumentation site is one
@@ -449,48 +357,6 @@ main(int argc, char **argv)
     const double cyc_on_secs = cycacctCell(true);
     std::printf("  accounting off %.2fs, on %.2fs, on/off %.2fx\n",
                 cyc_off_secs, cyc_on_secs, cyc_on_secs / cyc_off_secs);
-
-    // Multi-resolution sampling: the 16-CU fig03 MM cell, full timing
-    // vs --timing-waves 256 (first 256 of 16384 waves detailed, the
-    // rest through the rabbit executor). Reports the wall-clock speedup
-    // the sampling mode buys (ISSUE target: >= 5x) plus the accuracy of
-    // the extrapolated cycle estimate and the (exact) elimination
-    // rates.
-    std::printf("\nrabbit sampling (MM 16384 waves, LazyCore, 16 CUs):\n");
-    constexpr unsigned kRabbitTotalWaves = 16384;
-    constexpr unsigned kRabbitTimedWaves = 256;
-    auto rabbitCell = [](unsigned timing_waves) {
-        WorkloadParams p;
-        p.sparsity = 0.0;
-        p.scale = 16;
-        Workload w = makeMM(p, kRabbitTotalWaves);
-        GpuConfig cfg = GpuConfig::r9Nano().scaled(4);
-        cfg.mode = ExecMode::LazyCore;
-        cfg.timingWaves = timing_waves;
-        const auto t0 = std::chrono::steady_clock::now();
-        RunResult r = runWorkload(cfg, w, false);
-        return std::make_pair(secondsSince(t0), r);
-    };
-    const auto [rabbit_samp_secs, rabbit_samp] =
-        rabbitCell(kRabbitTimedWaves);
-    const auto [rabbit_full_secs, rabbit_full] =
-        rabbitCell(GpuConfig::timingWavesAll);
-    const double rabbit_speedup = rabbit_full_secs / rabbit_samp_secs;
-    const double est_cycles_rel_err =
-        rabbit_full.cycles
-            ? std::abs(static_cast<double>(rabbit_samp.cycles) -
-                       static_cast<double>(rabbit_full.cycles)) /
-                  static_cast<double>(rabbit_full.cycles)
-            : 0.0;
-    std::printf("  full %.2fs, sampled (%u timed) %.2fs: %.2fx\n"
-                "  est cycles %llu vs full %llu (rel err %.4f)\n"
-                "  elim rate sampled %.4f vs full %.4f\n",
-                rabbit_full_secs, kRabbitTimedWaves, rabbit_samp_secs,
-                rabbit_speedup,
-                static_cast<unsigned long long>(rabbit_samp.cycles),
-                static_cast<unsigned long long>(rabbit_full.cycles),
-                est_cycles_rel_err, rabbit_samp.eliminationRate(),
-                rabbit_full.eliminationRate());
 
     // Vectorized functional backend (src/isa/simd.cc): the untimed
     // reference executor timed on the frozen scalar oracle vs the plane
@@ -684,17 +550,9 @@ main(int argc, char **argv)
 
     Json micro = Json::object();
     micro.set("events", kMicroEvents)
-        .set("legacy_events_per_sec", legacy_eps)
         .set("engine_events_per_sec", engine_eps)
-        .set("speedup", micro_speedup)
         .set("engine_pool_chunks", engine.poolChunks())
         .set("engine_oversized_events", engine.oversizedEvents());
-
-    Json sweep = Json::object();
-    sweep.set("wall_ms", sweep_secs * 1e3)
-        .set("sim_cycles", sim_cycles)
-        .set("cycles_per_sec", cycles_per_sec)
-        .set("jobs", 1u);
 
     Json obs_ab = Json::object();
     obs_ab.set("off_ms", obs_off_secs * 1e3)
@@ -710,18 +568,6 @@ main(int argc, char **argv)
     cycacct_ab.set("off_ms", cyc_off_secs * 1e3)
         .set("on_ms", cyc_on_secs * 1e3)
         .set("on_over_off", cyc_on_secs / cyc_off_secs);
-
-    Json rabbit = Json::object();
-    rabbit.set("total_waves", kRabbitTotalWaves)
-        .set("timing_waves", kRabbitTimedWaves)
-        .set("full_ms", rabbit_full_secs * 1e3)
-        .set("sampled_ms", rabbit_samp_secs * 1e3)
-        .set("speedup", rabbit_speedup)
-        .set("est_cycles", rabbit_samp.cycles)
-        .set("full_cycles", rabbit_full.cycles)
-        .set("est_cycles_rel_err", est_cycles_rel_err)
-        .set("elim_rate_full", rabbit_full.eliminationRate())
-        .set("elim_rate_sampled", rabbit_samp.eliminationRate());
 
     Json sa_parallel = Json::object();
     Json sa_rows = Json::array();
@@ -785,11 +631,9 @@ main(int argc, char **argv)
 
     Json data = Json::object();
     data.set("scheduler_micro", std::move(micro))
-        .set("fig03_sweep", std::move(sweep))
         .set("obs_ab", std::move(obs_ab))
         .set("inject_ab", std::move(inject_ab))
         .set("cycacct_ab", std::move(cycacct_ab))
-        .set("rabbit_sampling", std::move(rabbit))
         .set("functional_simd", std::move(fsimd))
         .set("sa_parallel", std::move(sa_parallel))
         .set("peak_rss_kib", peakRssKib());

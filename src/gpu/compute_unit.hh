@@ -18,18 +18,22 @@
  *    overwrite/retire (Sec 4.3).
  *  - EagerZC: eager issue with zero caches probed in parallel (the
  *    comparison point of Fig 9).
+ *
+ * Those rules are the LazyUnit's (gpu/lazy_unit.hh), which the
+ * RabbitExecutor runs too. The CU is their timed transport: it schedules
+ * mask and data requests through the engine, samples the lifecycle,
+ * emits trace records, runs the injector hooks, and stalls and wakes
+ * waves.
  */
 
 #ifndef LAZYGPU_GPU_COMPUTE_UNIT_HH
 #define LAZYGPU_GPU_COMPUTE_UNIT_HH
 
-#include <array>
 #include <functional>
 #include <memory>
 #include <vector>
 
-#include "gpu/coalescer.hh"
-#include "gpu/wavefront.hh"
+#include "gpu/lazy_unit.hh"
 #include "mem/hierarchy.hh"
 #include "mem/memory.hh"
 #include "obs/cycacct.hh"
@@ -47,7 +51,7 @@ namespace inject
 class Injector;
 }
 
-class ComputeUnit : public Clocked
+class ComputeUnit final : public Clocked, private LazyUnit::Transport
 {
   public:
     /**
@@ -60,8 +64,8 @@ class ComputeUnit : public Clocked
     ComputeUnit(Engine &engine, StatsRegistry &stats,
                 LifecycleTracker &lifecycle, Distribution &mem_latency,
                 const GpuConfig &cfg, GlobalMemory &mem,
-                MemoryHierarchy &hier, unsigned cu_id, unsigned sa_id,
-                TraceSink *trace);
+                MemoryHierarchy &hier, const DecodeWindow &window,
+                unsigned cu_id, unsigned sa_id, TraceSink *trace);
 
     /** Occupancy limit for the running kernel (register-usage bound). */
     void setMaxWaves(unsigned n) { max_waves_ = n; }
@@ -82,14 +86,13 @@ class ComputeUnit : public Clocked
     }
 
     /**
-     * Verification hook: invoked at retire() entry, before the Lazy
-     * Unit eliminates still-parked loads, so the observer sees which
-     * register lanes were architecturally live (Ready) at retirement.
+     * Verification hook: invoked at retirement, before the Lazy Unit
+     * eliminates still-parked loads, so the observer sees which register
+     * lanes were architecturally live (Ready).
      */
-    using RetireObserver = std::function<void(const Wavefront &)>;
-    void setRetireObserver(RetireObserver obs)
+    void setRetireObserver(LazyUnit::RetireObserver obs)
     {
-        retire_obs_ = std::move(obs);
+        lazy_.setRetireObserver(std::move(obs));
     }
 
     /**
@@ -156,8 +159,6 @@ class ComputeUnit : public Clocked
     void executeScalar(Wavefront &wave, const Instruction &inst);
     void executeValu(Wavefront &wave, const Instruction &inst);
     void executeLoad(Wavefront &wave, const Instruction &inst);
-    void executeStore(Wavefront &wave, const Instruction &inst);
-    void retire(Wavefront &wave);
 
     /**
      * Every wavefront status change goes through here: it maintains the
@@ -167,49 +168,17 @@ class ComputeUnit : public Clocked
     void setStatus(Wavefront &wave, WaveStatus s);
     void noteReadyDelta(int delta);
 
-    /**
-     * Make the given source registers readable, triggering lazy issue
-     * and/or optimization (2) suspension as required.
-     *
-     * When inst is an otimes instruction, a busy lane of src0/src1 may be
-     * suspended instead of issued if the counterpart operand's value in
-     * that lane is a ready zero (Sec 4.3).
-     *
-     * @return true when the instruction can execute now.
-     */
-    bool ensureReady(Wavefront &wave, const Instruction &inst,
-                     const std::vector<unsigned> &regs);
-
-    /** WAW guard + lazy dead-on-overwrite elimination for dst regs. */
-    bool prepareOverwrite(Wavefront &wave, unsigned first, unsigned nregs);
-
-    // --- Lazy Unit ---------------------------------------------------------
-    void recordLazyLoad(Wavefront &wave, const Instruction &inst);
-    void issuePendingLoad(Wavefront &wave, PendingLoad &pl);
-
-    /**
-     * The Lazy Unit's decode look-ahead (Sec 4.3: otimes instructions
-     * are identified at decode, ahead of execution). When the wavefront
-     * stalls, every pending load whose first consumer lies within the
-     * next few straight-line instructions is issued together -- the
-     * bundled-issue behaviour GCN's s_waitcnt implies -- after applying
-     * optimization (2) suspension using currently-known (including
-     * mask-zeroed) counterpart values. Loads consumed beyond the window
-     * (e.g. software-pipelined next-tile prefetches) stay lazy.
-     */
-    void issueSoonNeeded(Wavefront &wave);
-
-    /** Otimes suspension for source register reg of inst, owned by pl. */
-    void trySuspend(Wavefront &wave, PendingLoad &pl,
-                    const Instruction &inst, unsigned reg);
+    // --- The Lazy Unit's timed transport ---------------------------------
+    /** Schedule pl's zero-mask reads; each response applies its mask. */
     void requestMasks(Wavefront &wave, PendingLoad &pl);
-    void onMaskResponse(Wavefront &wave, unsigned pl_id, Addr mask_addr);
-    void eliminateForRegs(Wavefront &wave, unsigned first, unsigned nregs);
-    void finishPendingIfResolved(Wavefront &wave, PendingLoad &pl);
-    /** Count (and lifecycle-sample) pl's eliminated transactions. */
-    void countEliminated(const PendingLoad &pl, const ElimTally &tally);
+    bool maskResident(Addr mask_addr) override;
+    void send(Wavefront &wave, PendingLoad &pl, unsigned tx,
+              bool short_circuit) override;
+    void writeMask(Addr mask_addr) override;
+    void writeData(Addr tx_addr, bool zero) override;
+    void suspended(const PendingLoad &pl, unsigned lanes) override;
+    void eliminated(const PendingLoad &pl, const ElimTally &tally) override;
 
-    // --- Transaction plumbing -----------------------------------------------
     /** Issue one data transaction through the LSU pipe; cb on response. */
     void issueTx(Addr addr, bool write, Completion cb);
     void issueMaskTx(Addr mask_addr, bool write, Completion cb);
@@ -277,46 +246,14 @@ class ComputeUnit : public Clocked
 
     std::vector<Tick> simd_busy_;
     std::function<void()> retire_cb_;
-    RetireObserver retire_obs_;
 
     /** Waves with status Ready; quiescent() is this count being zero. */
     unsigned ready_waves_ = 0;
     /** Ready waves per SIMD, so tick() skips SIMDs with nothing to pick. */
     std::vector<unsigned> ready_per_simd_;
 
-    // Per-issue scratch buffers, hoisted out of the execute paths so the
-    // steady state allocates nothing (capacities are retained across
-    // instructions; only the first few issues grow them).
-    std::vector<unsigned> scratch_srcs_;
-    std::vector<unsigned> scratch_issue_ids_;
-    std::vector<std::uint32_t> seen_stamp_; //!< per-vreg epoch tag
-    std::uint32_t seen_epoch_ = 0;
-    std::array<Addr, wavefrontSize> scratch_lane_addr_{};
-    std::vector<Addr> scratch_txs_;
-    std::vector<Addr> scratch_mask_bytes_;
-    std::vector<Addr> scratch_mask_txs_;
-    std::vector<unsigned> scratch_retire_ids_;
-    Coalescer coalescer_;
-
-    // Shared GPU-wide stats (one StatsRegistry per Gpu).
-    Counter &valu_insts_;
-    Counter &salu_insts_;
+    LazyUnit lazy_;
     Counter &simd_busy_cycles_;
-    Counter &load_insts_;
-    Counter &store_insts_;
-    Counter &txs_issued_;
-    Counter &txs_completed_;
-    Counter &txs_elim_zero_;
-    Counter &txs_elim_otimes_;
-    Counter &txs_elim_dead_;
-    Counter &txs_eager_fallback_;
-    Counter &store_txs_;
-    Counter &store_txs_zero_skipped_;
-    Counter &mask_reads_;
-    Counter &mask_writes_;
-    Counter &zc_short_circuits_;
-    Counter &lanes_zeroed_;
-    Counter &lanes_suspended_;
     Distribution &mem_latency_;
 };
 

@@ -116,8 +116,8 @@ Gpu::Gpu(const GpuConfig &cfg, GlobalMemory &mem)
         for (unsigned c = 0; c < cfg_.cusPerSa; ++c) {
             unsigned cu_id = sa * cfg_.cusPerSa + c;
             cus_.push_back(std::make_unique<ComputeUnit>(
-                sa_engine, stats_, lc, lat, cfg_, mem_, hier_, cu_id,
-                sa, trace_.get()));
+                sa_engine, stats_, lc, lat, cfg_, mem_, hier_, window_,
+                cu_id, sa, trace_.get()));
             sa_engine.addClocked(cus_.back().get());
             ComputeUnit *cu = cus_.back().get();
             if (cfg_.cycleAccounting)
@@ -172,7 +172,7 @@ Gpu::attachControl(ExecControl *ctl)
 }
 
 void
-Gpu::setRetireObserver(ComputeUnit::RetireObserver obs)
+Gpu::setRetireObserver(LazyUnit::RetireObserver obs)
 {
     if (sched_ && obs) {
         // Retires run concurrently on domain threads but the observer
@@ -248,6 +248,9 @@ Gpu::run(const Kernel &kernel, Tick limit_cycles)
     current_ = &kernel;
     next_wid_ = 0;
     dispatch_limit_ = timed;
+    // Before any wave runs: the window stays read-only while the domain
+    // threads read it.
+    window_.build(kernel);
 
     KernelResult res;
     res.startTick = sched_ ? sched_->now() : engine_.now();
@@ -335,8 +338,8 @@ Gpu::run(const Kernel &kernel, Tick limit_cycles)
 
     if (sampled) {
         if (!rabbit_) {
-            rabbit_ = std::make_unique<RabbitExecutor>(cfg_, mem_, stats_,
-                                                       &engine_);
+            rabbit_ = std::make_unique<RabbitExecutor>(
+                cfg_, mem_, stats_, window_, &engine_);
             if (retire_obs_)
                 rabbit_->setRetireObserver(retire_obs_);
         }

@@ -69,7 +69,7 @@ class Gpu : public SnapshotSource
     EngineSnapshot captureSnapshot() const override;
 
     /** Install a verification retire observer on every compute unit. */
-    void setRetireObserver(ComputeUnit::RetireObserver obs);
+    void setRetireObserver(LazyUnit::RetireObserver obs);
 
     /**
      * Attach the sweep watchdog. Classic mode attaches it to the single
@@ -199,6 +199,8 @@ class Gpu : public SnapshotSource
     std::unique_ptr<DomainScheduler> sched_;
     std::vector<std::unique_ptr<SaShard>> shards_;
     MemoryHierarchy hier_;
+    /** The running kernel's decode window, shared by every executor. */
+    DecodeWindow window_;
     std::vector<std::unique_ptr<ComputeUnit>> cus_;
 
     const Kernel *current_ = nullptr;
@@ -210,7 +212,7 @@ class Gpu : public SnapshotSource
 
     /** Constructed lazily on the first sampled launch. */
     std::unique_ptr<RabbitExecutor> rabbit_;
-    ComputeUnit::RetireObserver retire_obs_;
+    LazyUnit::RetireObserver retire_obs_;
     /**
      * Extrapolated extra contribution per timing-dependent counter:
      * delta-over-the-timed-window x (total/timed - 1), accumulated

@@ -59,24 +59,6 @@ Wavefront::removePending(unsigned id)
     pendings_.erase(it);
 }
 
-bool
-requalifyOperands(Wavefront &wave, const Instruction &inst,
-                  const std::vector<unsigned> &regs, ExecMode mode,
-                  bool skip_requalify)
-{
-    bool must_fetch = false;
-    for (unsigned reg : regs) {
-        if (!wave.anyNotReady(reg))
-            continue;
-        const LaneMask stale = wave.suspendedMask(reg) &
-                               ~zeroCounterpartLanes(wave, inst, reg, mode);
-        if (stale && !skip_requalify)
-            wave.requalifyLanes(reg, stale);
-        must_fetch |= (wave.busyMask(reg) & ~wave.suspendedMask(reg)) != 0;
-    }
-    return must_fetch;
-}
-
 namespace
 {
 

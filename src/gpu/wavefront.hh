@@ -11,9 +11,8 @@
  * words of each 32 B transaction as one lane mask per destination
  * register, so every Lazy Unit step (record, mask zeroing, issue,
  * fill, otimes suspension, elimination) is mask arithmetic against the
- * scoreboard bitmaps. The free functions at the end are those steps,
- * written once for the timed ComputeUnit and the RabbitExecutor; each
- * executor adds only its own counters, lifecycle samples and transport.
+ * scoreboard bitmaps. The free functions at the end are those steps;
+ * gpu/lazy_unit.hh sequences them for both executors.
  */
 
 #ifndef LAZYGPU_GPU_WAVEFRONT_HH
@@ -79,7 +78,6 @@ struct PendingLoad
     unsigned numRegs = 1;
     /** Per-lane address of the first destination register's word. */
     std::array<Addr, wavefrontSize> laneAddr{};
-    bool maskRequested = false;
     unsigned masksOutstanding = 0; //!< zero-mask reads still in flight
     /**
      * A consumer asked for the data while the Zero Read Rsp was still
@@ -389,20 +387,7 @@ zeroCounterpartLanes(const Wavefront &wave, const Instruction &inst,
     return readSrc(wave, *other, 0) == 0 ? allLanes : 0;
 }
 
-/**
- * Requalify inst's operand registers regs before it executes: a
- * Suspended lane whose counterpart is no longer a Ready zero is needed
- * after all and goes back to Pending. skip_requalify models the
- * injected fault that leaves such lanes wrongly reading as zero.
- *
- * @return true when some lane of regs is Pending or InFlight, so the
- *         instruction must wait for memory.
- */
-bool requalifyOperands(Wavefront &wave, const Instruction &inst,
-                       const std::vector<unsigned> &regs, ExecMode mode,
-                       bool skip_requalify);
-
-// --- The Lazy Unit rules, shared by both executors -----------------------
+// --- The Lazy Unit's mask steps, sequenced by gpu/lazy_unit.hh -----------
 
 /** Transactions one call below eliminated, by Fig 14 class. */
 struct ElimTally

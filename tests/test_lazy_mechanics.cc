@@ -427,5 +427,125 @@ TEST(LazyMechanics, PartialOverwriteKeepsFig14Classes)
     }
 }
 
+/** Counters of one run of a hand-written kernel, timed or in the rabbit. */
+struct TxCounts
+{
+    std::uint64_t issued, zero, otimes, dead, zeroed;
+};
+
+TxCounts
+runCounting(ExecMode mode, bool rabbit, GlobalMemory &mem, const Kernel &k)
+{
+    GpuConfig cfg = oneCu(mode);
+    cfg.timingWaves = rabbit ? 0 : GpuConfig::timingWavesAll;
+    Gpu gpu(cfg, mem);
+    gpu.run(k);
+    return {ctr(gpu, "txs_issued"), ctr(gpu, "txs_elim_zero"),
+            ctr(gpu, "txs_elim_otimes"), ctr(gpu, "txs_elim_dead"),
+            ctr(gpu, "lanes_zeroed")};
+}
+
+/**
+ * The decode window's length and branch rule. The first stall, at pc 4,
+ * looks ahead over pc 4..15. pc 5 overwrites v3 before its only reader
+ * at pc `reader`, which the window cannot see: a reader inside the
+ * window issues v3's load anyway, one outside leaves it to die at the
+ * overwrite, and a branch at pc 5 (to the next instruction) ends the
+ * window before the reader.
+ */
+TxCounts
+runDecodeWindow(ExecMode mode, bool rabbit, unsigned reader, bool branch)
+{
+    GlobalMemory mem;
+    Addr a = mem.alloc(4096);
+    Addr b = mem.alloc(4096);
+    Addr out = mem.alloc(4096);
+    for (unsigned i = 0; i < wavefrontSize; ++i) {
+        mem.writeF32(a + 4ull * i, 5.0f);
+        mem.writeF32(b + 4ull * i, 7.0f);
+    }
+    KernelBuilder kb("decode_window");
+    kb.threadId(0);
+    kb.valu(Opcode::VShlU32, 1, Src::vreg(0), Src::imm(2));
+    kb.load(Opcode::LoadDword, 2, 1, a);
+    kb.load(Opcode::LoadDword, 3, 1, b);
+    kb.valu(Opcode::VAddF32, 4, Src::vreg(2), Src::immF(1.0f)); // pc 4
+    unsigned pc = 5;
+    if (branch) {
+        const int next = kb.label();
+        kb.branch(next);
+        kb.place(next);
+        ++pc;
+    }
+    kb.valu(Opcode::VMov, 3, Src::immF(2.0f));
+    for (++pc; pc < reader; ++pc)
+        kb.valu(Opcode::VMov, 6, Src::immF(0.5f));
+    kb.valu(Opcode::VAddF32, 5, Src::vreg(3), Src::immF(1.0f));
+    kb.store(Opcode::StoreDword, 1, 5, out);
+    kb.store(Opcode::StoreDword, 1, 4, out + 2048);
+    const Kernel k = kb.build(1);
+    EXPECT_EQ(Opcode::VAddF32, k.code[reader].op);
+
+    const TxCounts c = runCounting(mode, rabbit, mem, k);
+    for (unsigned i = 0; i < wavefrontSize; ++i)
+        EXPECT_FLOAT_EQ(3.0f, mem.readF32(out + 4ull * i)) << "lane " << i;
+    return c;
+}
+
+TEST(LazyMechanics, DecodeWindowSpansTwelveInstructionsAndStopsAtBranches)
+{
+    for (ExecMode mode :
+         {ExecMode::LazyCore, ExecMode::LazyZC, ExecMode::LazyGPU}) {
+        for (bool rabbit : {false, true}) {
+            SCOPED_TRACE(toString(mode) + (rabbit ? " rabbit" : " timed"));
+            const TxCounts inside = runDecodeWindow(mode, rabbit, 15, false);
+            EXPECT_EQ(16u, inside.issued);
+            EXPECT_EQ(0u, inside.dead);
+            const TxCounts beyond = runDecodeWindow(mode, rabbit, 16, false);
+            EXPECT_EQ(8u, beyond.issued);
+            EXPECT_EQ(8u, beyond.dead);
+            const TxCounts branch = runDecodeWindow(mode, rabbit, 15, true);
+            EXPECT_EQ(8u, branch.issued);
+            EXPECT_EQ(8u, branch.dead);
+        }
+    }
+}
+
+TEST(LazyMechanics, RetireEliminatesParkedRegistersInAscendingOrder)
+{
+    // Two x4 loads, the second over v6..v9, so the first keeps v4 and
+    // v5; both are still parked at retire. Word 0 of each lane of `in`
+    // and word 2 of `in2` are nonzero: the rabbit's masks zero the other
+    // 192 words of each load. Retiring v6 and v7 first drops their
+    // zeroed words from the second load's transactions, so v8 settles
+    // them as dead; retiring v9 first would leave them all zero words,
+    // and the zero class.
+    for (ExecMode mode :
+         {ExecMode::LazyCore, ExecMode::LazyZC, ExecMode::LazyGPU}) {
+        for (bool rabbit : {false, true}) {
+            SCOPED_TRACE(toString(mode) + (rabbit ? " rabbit" : " timed"));
+            GlobalMemory mem;
+            Addr in = mem.alloc(4096);
+            Addr in2 = mem.alloc(4096);
+            for (unsigned lane = 0; lane < wavefrontSize; ++lane) {
+                mem.writeU32(in + 16ull * lane, 1 + lane);
+                mem.writeU32(in2 + 16ull * lane + 8, 7 + lane);
+            }
+            KernelBuilder kb("retire_walk");
+            kb.threadId(0);
+            kb.valu(Opcode::VShlU32, 1, Src::vreg(0), Src::imm(4));
+            kb.load(Opcode::LoadDwordX4, 4, 1, in);
+            kb.load(Opcode::LoadDwordX4, 6, 1, in2);
+            const TxCounts c = runCounting(mode, rabbit, mem, kb.build(1));
+            EXPECT_EQ(0u, c.issued);
+            EXPECT_EQ(0u, c.zero);
+            EXPECT_EQ(0u, c.otimes);
+            EXPECT_EQ(64u, c.dead);
+            const bool masked = rabbit && mode != ExecMode::LazyCore;
+            EXPECT_EQ(masked ? 384u : 0u, c.zeroed);
+        }
+    }
+}
+
 } // namespace
 } // namespace lazygpu

@@ -90,6 +90,52 @@ TEST(RabbitSampling, UnsampledRunRegistersNoRabbitCounters)
         EXPECT_NE(0u, name.rfind("gpu.rabbit.", 0)) << name;
 }
 
+// --- Exact accounting -------------------------------------------------------
+
+// The rabbit's transaction counters at the golden-stat settings
+// (test_golden_stats.cc), pinned exactly: the convergence checker only
+// bounds them within its tolerance band.
+TEST(RabbitSampling, PinsTransactionCountersExactly)
+{
+    struct Row
+    {
+        const char *workload;
+        double sparsity;
+        ExecMode mode;
+        std::uint64_t issued, zero, otimes, dead, store;
+    };
+    const Row rows[] = {
+        {"MM", 0.50, ExecMode::Baseline, 19008, 0, 0, 0, 512},
+        {"MM", 0.50, ExecMode::LazyCore, 16896, 0, 0, 2112, 512},
+        {"MM", 0.50, ExecMode::LazyZC, 16739, 2231, 0, 38, 512},
+        {"MM", 0.50, ExecMode::LazyGPU, 8593, 2231, 8146, 38, 512},
+        {"MM", 0.50, ExecMode::EagerZC, 16798, 0, 0, 0, 512},
+        {"SPMV", 0.70, ExecMode::LazyGPU, 29829, 10404, 7954, 0, 128},
+        {"SPMV", 0.70, ExecMode::EagerZC, 37825, 0, 0, 0, 128},
+    };
+    for (const Row &row : rows) {
+        SCOPED_TRACE(std::string(row.workload) + " " + toString(row.mode));
+        WorkloadParams p;
+        p.sparsity = row.sparsity;
+        p.scale = 16;
+        GpuConfig cfg = hasZeroCaches(row.mode)
+                            ? GpuConfig::lazyGpu(row.mode).scaled(8)
+                            : GpuConfig::r9Nano().scaled(8);
+        cfg.mode = row.mode;
+        cfg.timingWaves = 0;
+        Workload w = makeSuiteWorkload(row.workload, p);
+        const RunResult r = runWorkload(cfg, w, true);
+        EXPECT_EQ("", r.verifyError);
+        EXPECT_EQ(row.issued, r.txsIssued);
+        EXPECT_EQ(row.zero, r.txsElimZero);
+        EXPECT_EQ(row.otimes, r.txsElimOtimes);
+        EXPECT_EQ(row.dead, r.txsElimDead);
+        EXPECT_EQ(row.store, r.storeTxs);
+        EXPECT_EQ(0u, r.txsEagerFallback);
+        EXPECT_EQ(0u, r.storeTxsZeroSkipped);
+    }
+}
+
 // --- Functional equivalence -------------------------------------------------
 
 // timingWaves == 0: the engine never runs; memory must still verify and

@@ -113,8 +113,8 @@ TEST(ReferenceExecutor, FlagsRunPastEnd)
  * A kernel whose LazyGPU execution must suspend whole transactions:
  * operand A is zero across aligned 8-lane blocks, so the counterpart
  * load B is (2)-suspended for those blocks at the otimes multiply, then
- * requalified by the non-otimes add. The injected fault in ensureReady
- * skips exactly that requalification.
+ * requalified by the non-otimes add. The injected fault in
+ * LazyUnit::prepare skips exactly that requalification.
  */
 struct SuspendCase
 {
