@@ -34,10 +34,13 @@ DecodeWindow::build(const Kernel &kernel)
 {
     kernel_ = &kernel;
     const auto &code = kernel.code;
+    pcs_.assign(code.size() + 1, {});
+    for (unsigned pc = 0; pc < code.size(); ++pc)
+        pcs_[pc].reads = vectorReads(code[pc]);
     ops_.clear();
-    begin_.assign(1, 0);
     std::vector<std::uint32_t> stamp(kernel.numVregs, 0);
     for (unsigned start = 0; start < code.size(); ++start) {
+        pcs_[start].begin = static_cast<std::uint32_t>(ops_.size());
         const unsigned end = std::min<std::size_t>(start + lookAhead,
                                                    code.size());
         for (unsigned pc = start; pc < end; ++pc) {
@@ -46,15 +49,15 @@ DecodeWindow::build(const Kernel &kernel)
                 break;
             if (isScalar(inst.op))
                 continue;
-            for (unsigned reg : vectorReads(inst)) {
+            for (unsigned reg : pcs_[pc].reads) {
                 if (reg < stamp.size() && stamp[reg] != start + 1) {
                     stamp[reg] = start + 1;
                     ops_.push_back(Operand{&inst, reg});
                 }
             }
         }
-        begin_.push_back(static_cast<std::uint32_t>(ops_.size()));
     }
+    pcs_.back().begin = static_cast<std::uint32_t>(ops_.size());
 }
 
 LazyUnit::LazyUnit(StatsRegistry &stats, const std::string &prefix,
@@ -105,7 +108,7 @@ LazyUnit::operandsReady(Wavefront &wave, const Instruction &inst)
     // Requalify: a Suspended lane whose counterpart is no longer a Ready
     // zero is needed after all and goes back to Pending. skip_requalify_
     // models the injected fault that leaves it wrongly reading as zero.
-    const VectorReads regs = vectorReads(inst);
+    const VectorReads &regs = window_.reads(wave.pc);
     bool must_fetch = false;
     for (unsigned reg : regs) {
         if (!wave.anyNotReady(reg))

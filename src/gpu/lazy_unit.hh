@@ -7,8 +7,8 @@
  * seen in the decode look-ahead, issues what the look-ahead needs, and
  * eliminates parked requests at overwrite or retire; it also accounts
  * stores and keeps the 17 instruction and transaction counters. The
- * per-word steps are the mask functions of gpu/wavefront.hh; this
- * class sequences them. How a request travels is the executor's
+ * per-transaction steps are the mask functions of gpu/wavefront.hh;
+ * this class sequences them. How a request travels is the executor's
  * Transport: the timed ComputeUnit schedules it through the engine, the
  * RabbitExecutor resolves it at once.
  */
@@ -52,10 +52,10 @@ VectorReads vectorReads(const Instruction &inst);
  * instructions are identified at decode, ahead of execution). From each
  * pc it lists the registers read by the next lookAhead straight-line
  * instructions -- a branch or s_endpgm ends the window, scalar
- * instructions are skipped -- each with its first reader. The list
- * depends only on the kernel text, so Gpu::run builds it once per launch
- * and every CU and the rabbit read it; it stays read-only while the
- * domain threads run.
+ * instructions are skipped -- each with its first reader, and it keeps
+ * each instruction's own vectorReads. Both depend only on the kernel
+ * text, so Gpu::run builds them once per launch and every CU and the
+ * rabbit read them; they stay read-only while the domain threads run.
  */
 class DecodeWindow
 {
@@ -76,13 +76,23 @@ class DecodeWindow
     std::span<const Operand>
     at(unsigned pc) const
     {
-        return {ops_.data() + begin_[pc], ops_.data() + begin_[pc + 1]};
+        return {ops_.data() + pcs_[pc].begin,
+                ops_.data() + pcs_[pc + 1].begin};
     }
 
+    /** vectorReads of the instruction at pc. */
+    const VectorReads &reads(unsigned pc) const { return pcs_[pc].reads; }
+
   private:
+    struct Pc
+    {
+        std::uint32_t begin = 0; //!< the window's offset in ops_
+        VectorReads reads;
+    };
+
     const Kernel *kernel_ = nullptr;
     std::vector<Operand> ops_;
-    std::vector<std::uint32_t> begin_; //!< ops_ offset per pc, plus end
+    std::vector<Pc> pcs_; //!< per pc, plus one holding the end offset
 };
 
 class LazyUnit
@@ -138,11 +148,11 @@ class LazyUnit
     }
 
     /**
-     * Make vector instruction inst executable: requalify stale
-     * suspensions of its operands and, if a lane is still busy,
-     * stall-issue the decode window (bundleIssue); then, past the WAW
-     * guard, eliminate the parked loads its destination registers
-     * overwrite (their values are dead).
+     * Make vector instruction inst, the one at wave.pc, executable:
+     * requalify stale suspensions of its operands and, if a lane is
+     * still busy, stall-issue the decode window (bundleIssue); then,
+     * past the WAW guard, eliminate the parked loads its destination
+     * registers overwrite (their values are dead).
      *
      * @return true when inst can execute now: every operand lane is
      *         Ready or (correctly) Suspended and no destination fill is

@@ -2,11 +2,11 @@
 
 #include <algorithm>
 #include <bit>
+#include <cstring>
 
 #include "gpu/coalescer.hh"
 #include "inject/fault.hh"
 #include "isa/encoding.hh"
-#include "isa/eval.hh"
 #include "mem/memory.hh"
 #include "sim/logging.hh"
 
@@ -64,23 +64,6 @@ namespace
 
 using RegLanes = std::array<LaneMask, maxLoadRegs>;
 
-/** fn(r, lane) for every word of m, lane by lane, registers in order. */
-template <class Fn>
-void
-forEachWord(const RegLanes &m, unsigned nregs, Fn &&fn)
-{
-    LaneMask any = 0;
-    for (unsigned r = 0; r < nregs; ++r)
-        any |= m[r];
-    for (; any; any &= any - 1) {
-        const unsigned lane = std::countr_zero(any);
-        for (unsigned r = 0; r < nregs; ++r) {
-            if ((m[r] >> lane) & 1)
-                fn(r, lane);
-        }
-    }
-}
-
 /** The words of tx whose scoreboard lanes are in want(reg). */
 template <class Want>
 RegLanes
@@ -97,6 +80,89 @@ busyWords(const Wavefront &wave, const PendingLoad &pl,
           const PendingLoad::Tx &tx)
 {
     return txWords(pl, tx, [&](unsigned r) { return wave.busyMask(r); });
+}
+
+/** The lanes with a word in m. */
+LaneMask
+anyLane(const PendingLoad &pl, const RegLanes &m)
+{
+    LaneMask any = 0;
+    for (unsigned r = 0; r < pl.numRegs; ++r)
+        any |= m[r];
+    return any;
+}
+
+/** Lanes 0 .. n-1. */
+LaneMask
+lanesBelow(unsigned n)
+{
+    return n >= wavefrontSize ? allLanes : (LaneMask(1) << n) - 1;
+}
+
+/**
+ * The first word of the non-empty m in lane-major order: the lowest
+ * lane, then that lane's lowest register. The one-shot fault hooks are
+ * asked about this word only (DESIGN §15).
+ */
+struct Word
+{
+    unsigned reg;
+    unsigned lane;
+};
+
+Word
+firstWord(const PendingLoad &pl, const RegLanes &m)
+{
+    const unsigned lane = std::countr_zero(anyLane(pl, m));
+    unsigned r = 0;
+    while (!((m[r] >> lane) & 1))
+        ++r;
+    return {r, lane};
+}
+
+/**
+ * The words of m, all in one transaction, whose bit in that
+ * transaction's zero-mask byte zm is set: bit k covers the block's
+ * k-th 4 B word.
+ */
+RegLanes
+maskedZeroWords(const PendingLoad &pl, std::uint8_t zm, const RegLanes &m)
+{
+    if (zm == 0xff)
+        return m;
+    RegLanes zero{};
+    if (zm == 0)
+        return zero;
+    constexpr unsigned wordsPerTx = transactionSize / maskGranularity;
+    for (unsigned r = 0; r < pl.numRegs; ++r) {
+        for (LaneMask t = m[r]; t; t &= t - 1) {
+            const unsigned lane = std::countr_zero(t);
+            const unsigned k =
+                pl.wordAddr(r, lane) / maskGranularity % wordsPerTx;
+            zero[r] |= LaneMask((zm >> k) & 1) << lane;
+        }
+    }
+    return zero;
+}
+
+/**
+ * The value load op gives a word at byte off of its transaction's
+ * block, as isa::loadRegWord defines it: sub-word loads zero-extend.
+ * recordLoad guarantees the word ends inside the block.
+ */
+std::uint32_t
+blockWord(const GlobalMemory::Block &block, Opcode op, Addr off)
+{
+    switch (op) {
+      case Opcode::LoadByte:
+        return block[off];
+      case Opcode::LoadShort:
+        return block[off] | (static_cast<std::uint32_t>(block[off + 1]) << 8);
+      default:
+        std::uint32_t v;
+        std::memcpy(&v, block.data() + off, sizeof(v));
+        return v;
+    }
 }
 
 /** The lanes m of register r become Ready, holding zero. */
@@ -158,32 +224,71 @@ recordLoad(Wavefront &wave, const Instruction &inst, Tick now,
     pl.firstDst = inst.dst;
     pl.numRegs = loadDstRegs(inst.op);
     pl.recordTick = now;
+    const std::uint32_t *offsets = wave.valueRow(inst.src0.value);
     for (unsigned lane = 0; lane < wavefrontSize; ++lane)
-        pl.laneAddr[lane] = inst.base + wave.vreg(inst.src0.value, lane);
+        pl.laneAddr[lane] = inst.base + offsets[lane];
 
-    // Consecutive lanes almost always hit the same transaction
-    // (unit-stride loads), so only an address change searches the list.
+    // A lane reads at most 16 B, so its words lie in its first word's
+    // transaction or, spilling over, in the next one. A word straddles
+    // a transaction iff its first and last byte differ above the
+    // transaction offset bits.
     const unsigned bytes = std::min(loadBytes(inst.op), maskGranularity);
+    Addr straddle = 0;
+    for (unsigned r = 0; r < pl.numRegs; ++r) {
+        for (unsigned lane = 0; lane < wavefrontSize; ++lane) {
+            const Addr wa = pl.wordAddr(r, lane);
+            straddle |= wa ^ (wa + bytes - 1);
+        }
+    }
+    panic_if(txAlign(straddle) != 0,
+             "load word straddles a transaction; kernels must use "
+             "naturally aligned accesses");
+    RegLanes spill{};
+    for (unsigned r = 1; r < pl.numRegs; ++r) {
+        for (unsigned lane = 0; lane < wavefrontSize; ++lane) {
+            spill[r] |= LaneMask(txAlign(pl.wordAddr(r, lane)) !=
+                                 txAlign(pl.laneAddr[lane]))
+                        << lane;
+        }
+    }
+
+    // Transactions in the order lanes first touch them (lane by lane,
+    // registers in order within a lane), built one run of consecutive
+    // lanes with a common first transaction at a time: a run touches
+    // its first transaction, then possibly the next.
+    LaneMask starts = 1;
+    for (unsigned lane = 1; lane < wavefrontSize; ++lane) {
+        starts |= LaneMask(txAlign(pl.laneAddr[lane]) !=
+                           txAlign(pl.laneAddr[lane - 1]))
+                  << lane;
+    }
     pl.txs = std::move(txs);
     pl.txs.reserve(pl.numRegs * wavefrontSize * std::size_t(bytes) /
                    transactionSize);
-    PendingLoad::Tx *tx = nullptr;
-    for (unsigned lane = 0; lane < wavefrontSize; ++lane) {
+    const auto txAt = [&pl](Addr ta) -> PendingLoad::Tx & {
+        for (PendingLoad::Tx &t : pl.txs) {
+            if (t.addr == ta)
+                return t;
+        }
+        return pl.txs.emplace_back(PendingLoad::Tx{ta});
+    };
+    for (LaneMask s = starts; s;) {
+        const unsigned first = std::countr_zero(s);
+        s &= s - 1;
+        const LaneMask run =
+            lanesBelow(s ? std::countr_zero(s) : wavefrontSize) &
+            ~lanesBelow(first);
+        const Addr ta = txAlign(pl.laneAddr[first]);
+        LaneMask spilled = 0;
+        PendingLoad::Tx &head = txAt(ta);
         for (unsigned r = 0; r < pl.numRegs; ++r) {
-            const Addr wa = pl.wordAddr(r, lane);
-            const Addr ta = txAlign(wa);
-            panic_if(txAlign(wa + bytes - 1) != ta,
-                     "load word straddles a transaction; kernels must "
-                     "use naturally aligned accesses");
-            if (!tx || tx->addr != ta) {
-                auto it = std::find_if(
-                    pl.txs.begin(), pl.txs.end(),
-                    [ta](const PendingLoad::Tx &t) { return t.addr == ta; });
-                tx = it != pl.txs.end()
-                         ? &*it
-                         : &pl.txs.emplace_back(PendingLoad::Tx{ta});
-            }
-            tx->lanes[r] |= LaneMask(1) << lane;
+            head.lanes[r] |= run & ~spill[r];
+            spilled |= run & spill[r];
+        }
+        if (spilled) {
+            PendingLoad::Tx &next = txAt(ta + transactionSize);
+            for (unsigned r = 0; r < pl.numRegs; ++r)
+                next.lanes[r] |= run & spill[r];
         }
     }
     for (PendingLoad::Tx &t : pl.txs) {
@@ -205,12 +310,10 @@ recordLoad(Wavefront &wave, const Instruction &inst, Tick now,
 bool
 encodable(const PendingLoad &pl)
 {
-    const std::uint64_t shared_upper = upperBits(pl.laneAddr[0]);
-    for (Addr a : pl.laneAddr) {
-        if (upperBits(a) != shared_upper)
-            return false;
-    }
-    return true;
+    Addr differ = 0;
+    for (Addr a : pl.laneAddr)
+        differ |= a ^ pl.laneAddr[0];
+    return upperBits(differ) == 0;
 }
 
 bool
@@ -229,13 +332,7 @@ busyWordsZero(const GlobalMemory &mem, const Wavefront &wave,
               const PendingLoad &pl, const PendingLoad::Tx &tx)
 {
     const RegLanes busy = busyWords(wave, pl, tx);
-    for (unsigned r = 0; r < pl.numRegs; ++r) {
-        for (LaneMask t = busy[r]; t; t &= t - 1) {
-            if (!mem.isZeroWord(pl.wordAddr(r, std::countr_zero(t))))
-                return false;
-        }
-    }
-    return true;
+    return maskedZeroWords(pl, mem.zeroMaskByte(tx.addr), busy) == busy;
 }
 
 void
@@ -260,13 +357,16 @@ zeroPendingWords(Wavefront &wave, PendingLoad &pl, Addr lo, Addr hi,
         }
         const RegLanes pending = txWords(
             pl, tx, [&](unsigned r) { return wave.pendingMask(r); });
-        RegLanes zero{};
-        forEachWord(pending, pl.numRegs, [&](unsigned r, unsigned lane) {
-            bool z = mem.isZeroWord(pl.wordAddr(r, lane));
-            if (inj)
-                z ^= inj->flipZeroProbe(now);
-            zero[r] |= LaneMask(z) << lane;
-        });
+        // Only a transaction with a Pending word is probed, so only it
+        // asks the zero-mask-flip hook (DESIGN §15).
+        if (!anyLane(pl, pending))
+            continue;
+        RegLanes zero =
+            maskedZeroWords(pl, mem.zeroMaskByte(tx.addr), pending);
+        if (inj && inj->flipZeroProbe(now)) {
+            const Word w = firstWord(pl, pending);
+            zero[w.reg] ^= LaneMask(1) << w.lane;
+        }
         const unsigned n = resolveZero(wave, pl, zero);
         tx.zeroedWords += n;
         settle(pl, tx, n, tally);
@@ -280,18 +380,26 @@ fillBusyWords(Wavefront &wave, PendingLoad &pl, PendingLoad::Tx &tx,
               const GlobalMemory &mem, inject::Injector *inj, Tick now)
 {
     const RegLanes busy = busyWords(wave, pl, tx);
-    RegLanes zero{};
-    forEachWord(busy, pl.numRegs, [&](unsigned r, unsigned lane) {
-        std::uint32_t v = isa::loadRegWord(mem, pl.op, pl.laneAddr[lane], r);
-        if (inj)
-            v = inj->filterLoadWord(now, v);
-        wave.valueRow(pl.firstDst + r)[lane] = v;
-        zero[r] |= LaneMask(v == 0) << lane;
-    });
+    const GlobalMemory::Block block = mem.readBlock(tx.addr);
     unsigned n = 0;
     for (unsigned r = 0; r < pl.numRegs; ++r) {
-        wave.resolveLanes(pl.firstDst + r, busy[r], zero[r]);
+        std::uint32_t *row = wave.valueRow(pl.firstDst + r);
+        LaneMask zero = 0;
+        for (LaneMask t = busy[r]; t; t &= t - 1) {
+            const unsigned lane = std::countr_zero(t);
+            const std::uint32_t v =
+                blockWord(block, pl.op, pl.wordAddr(r, lane) - tx.addr);
+            row[lane] = v;
+            zero |= LaneMask(v == 0) << lane;
+        }
+        wave.resolveLanes(pl.firstDst + r, busy[r], zero);
         n += std::popcount(busy[r]);
+    }
+    if (inj && n != 0) {
+        const Word w = firstWord(pl, busy);
+        const unsigned reg = pl.firstDst + w.reg;
+        wave.setVreg(reg, w.lane,
+                     inj->filterLoadWord(now, wave.vreg(reg, w.lane)));
     }
     ElimTally issued; // an Issued tx is never eliminated
     settle(pl, tx, n, issued);

@@ -11,8 +11,11 @@
  * words of each 32 B transaction as one lane mask per destination
  * register, so every Lazy Unit step (record, mask zeroing, issue,
  * fill, otimes suspension, elimination) is mask arithmetic against the
- * scoreboard bitmaps. The free functions at the end are those steps;
- * gpu/lazy_unit.hh sequences them for both executors.
+ * scoreboard bitmaps, and a step that reads memory reads one
+ * transaction at a time: its 32 B block or its zero-mask byte, each
+ * lane's word found by its offset in the block. The free functions at
+ * the end are those steps; gpu/lazy_unit.hh sequences them for both
+ * executors.
  */
 
 #ifndef LAZYGPU_GPU_WAVEFRONT_HH
@@ -417,7 +420,10 @@ bool encodable(const PendingLoad &pl);
 bool hasPendingWord(const Wavefront &wave, const PendingLoad &pl,
                     const PendingLoad::Tx &tx);
 
-/** True iff every busy word of tx reads zero in mem (EagerZC's probe). */
+/**
+ * True iff every busy word of tx reads zero in mem, from tx's zero-mask
+ * byte (EagerZC's probe).
+ */
 bool busyWordsZero(const GlobalMemory &mem, const Wavefront &wave,
                    const PendingLoad &pl, const PendingLoad::Tx &tx);
 
@@ -428,9 +434,11 @@ void markIssued(Wavefront &wave, const PendingLoad &pl,
 /**
  * Zero-mask arrival (optimization (1)) for the Unissued transactions of
  * pl in the data range [lo, hi): every Pending word that reads zero
- * resolves as zero, without memory traffic. Probes visit transactions in
- * order and their words lane by lane, registers in order within a lane;
- * inj, when non-null, may invert one (ZeroMaskFlip).
+ * resolves as zero, without memory traffic. Each transaction's
+ * zero-mask byte is read once, and a word's bit is its slot in the
+ * block. inj, when non-null, is asked once per transaction with a
+ * Pending word, in transaction order, and may invert the probe of that
+ * transaction's first Pending word in lane-major order (ZeroMaskFlip).
  *
  * @return the words zeroed.
  */
@@ -440,9 +448,11 @@ unsigned zeroPendingWords(Wavefront &wave, PendingLoad &pl, Addr lo,
                           ElimTally &tally);
 
 /**
- * A data response for an Issued tx: every busy word resolves with its
- * value in mem, lane by lane and registers in order within a lane; inj,
- * when non-null, may corrupt one value (MemRespFlip).
+ * A data response for an Issued tx: the transaction's block is read
+ * once, and every busy word resolves with its value from it. inj, when
+ * non-null, is asked once and may corrupt the first busy word in
+ * lane-major order: the lowest lane, then its lowest register
+ * (MemRespFlip).
  */
 void fillBusyWords(Wavefront &wave, PendingLoad &pl, PendingLoad::Tx &tx,
                    const GlobalMemory &mem, inject::Injector *inj,

@@ -266,11 +266,12 @@ GlobalMemory::contentHash() const
 std::uint8_t
 GlobalMemory::zeroMaskByte(Addr a) const
 {
-    Addr block = a & ~Addr(transactionSize - 1);
+    const Block block = readBlock(a);
     std::uint8_t mask = 0;
     for (unsigned w = 0; w < transactionSize / maskGranularity; ++w) {
-        if (isZeroWord(block + w * maskGranularity))
-            mask |= static_cast<std::uint8_t>(1u << w);
+        std::uint32_t v;
+        std::memcpy(&v, block.data() + w * maskGranularity, sizeof(v));
+        mask |= static_cast<std::uint8_t>((v == 0) << w);
     }
     return mask;
 }

@@ -12,6 +12,7 @@
 #ifndef LAZYGPU_MEM_MEMORY_HH
 #define LAZYGPU_MEM_MEMORY_HH
 
+#include <array>
 #include <cstdint>
 #include <cstring>
 #include <shared_mutex>
@@ -113,13 +114,33 @@ class GlobalMemory
         writeU32Straddle(a, v);
     }
 
+    /** The bytes of one transactionSize-aligned block. */
+    using Block = std::array<std::uint8_t, transactionSize>;
+
+    /**
+     * The block containing a, read with one page lookup: a block never
+     * straddles a page (transactionSize divides pageSize), and an
+     * untouched page reads as zeros. The Lazy Unit resolves a whole
+     * transaction from one such read.
+     */
+    Block
+    readBlock(Addr a) const
+    {
+        Block b;
+        if (const std::uint8_t *page = pageFor(a)) {
+            const Addr off = a & (pageSize - 1) & ~Addr(transactionSize - 1);
+            std::memcpy(b.data(), page + off, transactionSize);
+        } else {
+            b.fill(0);
+        }
+        return b;
+    }
+
     /**
      * The page buffer holding addr, or nullptr when the page is
      * untouched (reads as zero). For callers resolving many words of
-     * one transaction: a transactionSize-aligned block never straddles
-     * a page (transactionSize divides pageSize), so one lookup covers
-     * every word that starts inside the block. The pointer stays valid
-     * as documented on the page cache below.
+     * one span that stays inside a page. The pointer stays valid as
+     * documented on the page cache below.
      */
     const std::uint8_t *pageForSpan(Addr a) const { return pageFor(a); }
 
@@ -147,7 +168,8 @@ class GlobalMemory
 
     /**
      * The zero mask byte for the 32 B block containing a: bit i set iff
-     * word i of the block is all zero.
+     * word i of the block is all zero. One block read, as a Zero Cache
+     * answers one mask byte per block.
      */
     std::uint8_t zeroMaskByte(Addr a) const;
 

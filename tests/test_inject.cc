@@ -202,6 +202,41 @@ TEST(Inject, LaneBitmapFlipIsLiveOnlyUnderSuspension)
     EXPECT_EQ("masked", lazycore.tag);
 }
 
+/** The one-CU machine of mode, with plan armed on its CU. */
+GpuConfig
+oneCuWithPlan(ExecMode mode, const char *plan)
+{
+    GpuConfig cfg = mode == ExecMode::Baseline ? GpuConfig::r9Nano()
+                                               : GpuConfig::lazyGpu(mode);
+    cfg.numShaderArrays = 1;
+    cfg.cusPerSa = 1;
+    cfg.l2Banks = 1;
+    cfg.injectPlan = plan;
+    return cfg;
+}
+
+/**
+ * One wave loads word(r, lane) from in + 16 * lane + 4 * r with a
+ * LoadDwordX4 and stores register r to out + 256 * r + 4 * lane.
+ */
+template <class Word>
+Kernel
+x4RoundTrip(GlobalMemory &mem, Addr in, Addr out, Word word)
+{
+    for (unsigned lane = 0; lane < wavefrontSize; ++lane) {
+        for (unsigned r = 0; r < 4; ++r)
+            mem.writeU32(in + 16ull * lane + 4 * r, word(r, lane));
+    }
+    KernelBuilder kb("x4_round_trip");
+    kb.threadId(0);
+    kb.valu(Opcode::VShlU32, 1, Src::vreg(0), Src::imm(4));
+    kb.load(Opcode::LoadDwordX4, 4, 1, in);
+    kb.valu(Opcode::VShlU32, 2, Src::vreg(0), Src::imm(2));
+    for (unsigned r = 0; r < 4; ++r)
+        kb.store(Opcode::StoreDword, 2, 4 + r, out + 256 * r);
+    return kb.build(1);
+}
+
 TEST(Inject, MemRespFlipWalksWordsLaneByLane)
 {
     // The flip lands on the first word a data response resolves, so it
@@ -218,27 +253,11 @@ TEST(Inject, MemRespFlipWalksWordsLaneByLane)
         GlobalMemory mem;
         const Addr in = mem.alloc(4096);
         const Addr out = mem.alloc(4096);
-        for (unsigned lane = 0; lane < wavefrontSize; ++lane) {
-            for (unsigned r = 0; r < 4; ++r)
-                mem.writeU32(in + 16ull * lane + 4 * r, word(r, lane));
-        }
-        KernelBuilder kb("flip_order");
-        kb.threadId(0);
-        kb.valu(Opcode::VShlU32, 1, Src::vreg(0), Src::imm(4));
-        kb.load(Opcode::LoadDwordX4, 4, 1, in);
-        kb.valu(Opcode::VShlU32, 2, Src::vreg(0), Src::imm(2));
-        for (unsigned r = 0; r < 4; ++r)
-            kb.store(Opcode::StoreDword, 2, 4 + r, out + 256 * r);
-
-        GpuConfig cfg = mode == ExecMode::Baseline
-                            ? GpuConfig::r9Nano()
-                            : GpuConfig::lazyGpu(mode);
-        cfg.numShaderArrays = 1;
-        cfg.cusPerSa = 1;
-        cfg.l2Banks = 1;
-        cfg.injectPlan = "site=mem-resp-flip,cycle=0,cu=0,seed=1,bit=31";
-        Gpu gpu(cfg, mem);
-        gpu.run(kb.build(1));
+        const Kernel k = x4RoundTrip(mem, in, out, word);
+        Gpu gpu(oneCuWithPlan(
+                    mode, "site=mem-resp-flip,cycle=0,cu=0,seed=1,bit=31"),
+                mem);
+        gpu.run(k);
 
         const unsigned flipped = hasZeroElimination(mode) ? 1 : 0;
         for (unsigned r = 0; r < 4; ++r) {
@@ -249,6 +268,87 @@ TEST(Inject, MemRespFlipWalksWordsLaneByLane)
                 EXPECT_EQ(want, mem.readU32(out + 256 * r + 4 * lane))
                     << "register " << r << " lane " << lane;
             }
+        }
+    }
+}
+
+/** What a zero-mask-flip run on the one-CU machine changed. */
+struct ZeroFlipRun
+{
+    std::uint64_t lanesZeroed = 0;
+    std::uint64_t fired = 0;
+};
+
+ZeroFlipRun
+runZeroMaskFlip(ExecMode mode, GlobalMemory &mem, const Kernel &k)
+{
+    Gpu gpu(oneCuWithPlan(mode, "site=zero-mask-flip,cycle=0,cu=0,seed=1"),
+            mem);
+    gpu.run(k);
+    return {gpu.stats().sumCounters("gpu.", ".lanes_zeroed"),
+            gpu.stats().counter("inject.fired").value()};
+}
+
+TEST(Inject, ZeroMaskFlipInvertsTheFirstProbeLaneByLane)
+{
+    // The zero-probe hook is asked about a load's first Pending word:
+    // its first transaction, lowest lane, lowest register. Every input
+    // word is nonzero, so the inverted probe zeroes register 0 of lane 0
+    // and nothing else; modes without a zero probe never ask the hook.
+    const auto word = [](unsigned r, unsigned lane) {
+        return (r << 8) | (lane + 1);
+    };
+    for (ExecMode mode : {ExecMode::Baseline, ExecMode::LazyCore,
+                          ExecMode::EagerZC, ExecMode::LazyZC,
+                          ExecMode::LazyGPU}) {
+        SCOPED_TRACE(toString(mode));
+        GlobalMemory mem;
+        const Addr in = mem.alloc(4096);
+        const Addr out = mem.alloc(4096);
+        const ZeroFlipRun run =
+            runZeroMaskFlip(mode, mem, x4RoundTrip(mem, in, out, word));
+
+        const bool probed = hasZeroElimination(mode);
+        EXPECT_EQ(probed ? 1u : 0u, run.lanesZeroed);
+        EXPECT_EQ(probed ? 1u : 0u, run.fired);
+        for (unsigned r = 0; r < 4; ++r) {
+            for (unsigned lane = 0; lane < wavefrontSize; ++lane) {
+                const std::uint32_t want =
+                    probed && r == 0 && lane == 0 ? 0 : word(r, lane);
+                EXPECT_EQ(want, mem.readU32(out + 256 * r + 4 * lane))
+                    << "register " << r << " lane " << lane;
+            }
+        }
+    }
+}
+
+TEST(Inject, ZeroMaskFlipFollowsTransactionOrder)
+{
+    // Lane l reads word 63 - l, holding l + 1, so lane 0 touches the
+    // highest transaction first. The hook follows first-touch order and
+    // zeroes lane 0; a walk in address order would zero lane 56.
+    for (ExecMode mode : {ExecMode::LazyZC, ExecMode::LazyGPU}) {
+        SCOPED_TRACE(toString(mode));
+        GlobalMemory mem;
+        const Addr in = mem.alloc(4096);
+        const Addr out = mem.alloc(4096);
+        for (unsigned lane = 0; lane < wavefrontSize; ++lane)
+            mem.writeU32(in + 4ull * (63 - lane), lane + 1);
+        KernelBuilder kb("zero_flip_reversed");
+        kb.threadId(0);
+        kb.valu(Opcode::VSubU32, 1, Src::imm(63), Src::vreg(0));
+        kb.valu(Opcode::VShlU32, 1, Src::vreg(1), Src::imm(2));
+        kb.load(Opcode::LoadDword, 3, 1, in);
+        kb.valu(Opcode::VShlU32, 2, Src::vreg(0), Src::imm(2));
+        kb.store(Opcode::StoreDword, 2, 3, out);
+        const ZeroFlipRun run = runZeroMaskFlip(mode, mem, kb.build(1));
+
+        EXPECT_EQ(1u, run.lanesZeroed);
+        EXPECT_EQ(1u, run.fired);
+        for (unsigned lane = 0; lane < wavefrontSize; ++lane) {
+            EXPECT_EQ(lane == 0 ? 0u : lane + 1,
+                      mem.readU32(out + 4 * lane))
+                << "lane " << lane;
         }
     }
 }
