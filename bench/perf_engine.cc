@@ -9,8 +9,8 @@
  *     DESIGN.md §8 relies on.
  *  2. Observability, fault-injection and cycle-accounting A/B runs: the
  *     cost of each subsystem when off.
- *  3. The vectorized functional backend against the scalar oracle and
- *     its -fno-tree-vectorize twin.
+ *  3. The reference executor on the vectorized plane core against its
+ *     per-lane specification.
  *  4. Intra-GPU parallel simulation at 1/2/4/8 domain threads.
  *
  * End-to-end simulator speed (the Fig 3 MM grid, the sampled 64-CU
@@ -31,7 +31,6 @@
 #include "analysis/harness.hh"
 #include "bench/bench_main.hh"
 #include "isa/kernel.hh"
-#include "isa/simd.hh"
 #include "sim/domains.hh"
 #include "sim/engine.hh"
 #include "verif/kernel_gen.hh"
@@ -359,14 +358,14 @@ main(int argc, char **argv)
                 cyc_off_secs, cyc_on_secs, cyc_on_secs / cyc_off_secs);
 
     // Vectorized functional backend (src/isa/simd.cc): the untimed
-    // reference executor timed on the frozen scalar oracle vs the plane
-    // core, on (a) a VALU-dense micro (the headline number; ISSUE target
-    // >= 10x), (b) a memory-mixed micro (honest lower bound: unit-stride
-    // loads/stores batched through pageForSpan), and (c) the fuzz
-    // generator's kernel mix (what the 20k-seed differential sweep
-    // actually pays). Plus the plane core against its -fno-tree-vectorize
-    // twin, isolating what auto-vectorization itself buys -- the same
-    // ratio the A/B guard in test_simd_equiv.cc asserts on.
+    // reference executor timed on its per-lane specification
+    // (runReferenceScalar) vs the plane core (runReference), on (a) a
+    // VALU-dense micro (the headline number, >= 10x), (b) a
+    // memory-mixed micro (honest lower bound: unit-stride loads/stores
+    // batched through pageForSpan), and (c) the fuzz generator's kernel
+    // mix (what the 20k-seed differential sweep actually pays). What
+    // auto-vectorization alone buys is asserted by the guard in
+    // test_simd_equiv.cc.
     std::printf("\nfunctional_simd:\n");
     auto refSecs = [](auto run, const Kernel &k, const GlobalMemory &img,
                       std::uint64_t *insts) {
@@ -385,7 +384,7 @@ main(int argc, char **argv)
     const double valu_scalar_s =
         refSecs(verif::runReferenceScalar, valu_k, valu_img, &valu_insts);
     const double valu_simd_s =
-        refSecs(verif::runReferenceSimd, valu_k, valu_img, &valu_insts);
+        refSecs(verif::runReference, valu_k, valu_img, &valu_insts);
     std::printf("  valu micro: %llu insts, scalar %.1fms, simd %.1fms, "
                 "%.2fx\n",
                 static_cast<unsigned long long>(valu_insts),
@@ -397,7 +396,7 @@ main(int argc, char **argv)
     const double mem_scalar_s =
         refSecs(verif::runReferenceScalar, mem_k, mem_img, &mem_insts);
     const double mem_simd_s =
-        refSecs(verif::runReferenceSimd, mem_k, mem_img, &mem_insts);
+        refSecs(verif::runReference, mem_k, mem_img, &mem_insts);
     std::printf("  mem mixed:  %llu insts, scalar %.1fms, simd %.1fms, "
                 "%.2fx\n",
                 static_cast<unsigned long long>(mem_insts),
@@ -424,59 +423,12 @@ main(int argc, char **argv)
     std::uint64_t fuzz_insts = 0;
     const double fuzz_scalar_s =
         fuzzSecs(verif::runReferenceScalar, &fuzz_insts);
-    const double fuzz_simd_s = fuzzSecs(verif::runReferenceSimd, &fuzz_insts);
+    const double fuzz_simd_s = fuzzSecs(verif::runReference, &fuzz_insts);
     std::printf("  fuzz mix:   %u seeds, %llu insts, scalar %.1fms, "
                 "simd %.1fms, %.2fx\n",
                 kFuzzSeeds, static_cast<unsigned long long>(fuzz_insts),
                 fuzz_scalar_s * 1e3, fuzz_simd_s * 1e3,
                 fuzz_scalar_s / fuzz_simd_s);
-
-    // Plane core vs its -fno-tree-vectorize twin: identical source, only
-    // the codegen differs.
-    alignas(64) std::uint32_t pa[wavefrontSize], pb[wavefrontSize],
-        pd[wavefrontSize];
-    for (unsigned lane = 0; lane < wavefrontSize; ++lane) {
-        const float fa = 1.0f + 0.015625f * static_cast<float>(lane);
-        const float fb = 0.75f + 0.03125f * static_cast<float>(lane);
-        std::memcpy(&pa[lane], &fa, 4);
-        std::memcpy(&pb[lane], &fb, 4);
-        pd[lane] = 0;
-    }
-    static constexpr Opcode kPlaneOps[] = {
-        Opcode::VMulF32,   Opcode::VAddF32, Opcode::VMacF32,
-        Opcode::VMaxF32,   Opcode::VMinF32, Opcode::VCmpGtF32,
-        Opcode::VAddU32,   Opcode::VXorB32, Opcode::VMinU32,
-        Opcode::VCvtF32U32};
-    constexpr std::uint64_t kPlaneReps = 50'000;
-    constexpr std::uint64_t kPlaneCalls =
-        kPlaneReps * (sizeof(kPlaneOps) / sizeof(kPlaneOps[0]));
-    std::uint64_t plane_sink = 0;
-    auto planeSecs = [&](auto eval) {
-        return bestOfSecs(3, [&]() {
-            PlaneSrc a;
-            a.row = pa;
-            PlaneSrc b;
-            b.row = pb;
-            for (std::uint64_t r = 0; r < kPlaneReps; ++r)
-                for (const Opcode op : kPlaneOps)
-                    eval(op, pd, a, b, 0);
-            plane_sink += pd[0] ^ pd[wavefrontSize - 1];
-        });
-    };
-    const double plane_vec_s = planeSecs(
-        [](Opcode op, std::uint32_t *d, const PlaneSrc &a, const PlaneSrc &b,
-           unsigned wid) { return isa::evalValuPlane(op, d, a, b, wid); });
-    const double plane_novec_s =
-        planeSecs([](Opcode op, std::uint32_t *d, const PlaneSrc &a,
-                     const PlaneSrc &b, unsigned wid) {
-            return isa_novec::evalValuPlane(op, d, a, b, wid);
-        });
-    std::printf("  plane A/B:  %llu plane ops (sink %llx), vectorized "
-                "%.1fms, novec %.1fms, %.2fx\n",
-                static_cast<unsigned long long>(kPlaneCalls),
-                static_cast<unsigned long long>(plane_sink),
-                plane_vec_s * 1e3, plane_novec_s * 1e3,
-                plane_novec_s / plane_vec_s);
 
     // Intra-GPU parallel simulation: (a) the domain-scheduler micro at
     // 1/2/4/8 worker threads, (b) the paper-scale 64-CU fig03 MM cell
@@ -618,15 +570,9 @@ main(int argc, char **argv)
             .set("scalar_ms", fuzz_scalar_s * 1e3)
             .set("simd_ms", fuzz_simd_s * 1e3)
             .set("speedup", fuzz_scalar_s / fuzz_simd_s);
-        Json plane = Json::object();
-        plane.set("plane_ops", kPlaneCalls)
-            .set("vectorized_ms", plane_vec_s * 1e3)
-            .set("novec_ms", plane_novec_s * 1e3)
-            .set("vec_over_novec", plane_novec_s / plane_vec_s);
         fsimd.set("valu_micro", std::move(valu))
             .set("memory_mixed", std::move(memmix))
-            .set("fuzz_mix", std::move(fuzzmix))
-            .set("plane_ab", std::move(plane));
+            .set("fuzz_mix", std::move(fuzzmix));
     }
 
     Json data = Json::object();

@@ -5,7 +5,6 @@
 
 #include "inject/fault.hh"
 #include "isa/eval.hh"
-#include "isa/simd.hh"
 #include "sim/logging.hh"
 
 #ifdef LAZYGPU_CHECK
@@ -248,12 +247,10 @@ ComputeUnit::finalizeCycleAccounting()
     if (!cyc_)
         return;
     cyc_->finalize(engine_.now());
-#ifdef LAZYGPU_CHECK
     panic_if(cyc_->total() != engine_.now(),
              "cu.%u: cycle buckets sum to %llu but %llu cycles elapsed",
              cu_id_, static_cast<unsigned long long>(cyc_->total()),
              static_cast<unsigned long long>(engine_.now()));
-#endif
 }
 
 void
@@ -296,7 +293,9 @@ ComputeUnit::executeOne(Wavefront &wave, unsigned simd)
     } else {
         // VALU: a 64-lane wavefront occupies the 16-wide SIMD for 4
         // cycles.
-        executeValu(wave, inst);
+        ++lazy_.valuInsts;
+        execValu(wave, inst);
+        ++wave.pc;
         busy = cfg_.aluLatency;
         wave.nextIssue = now + busy;
     }
@@ -319,20 +318,6 @@ ComputeUnit::executeScalar(Wavefront &wave, const Instruction &inst)
     lazy_.retire(wave);
     setStatus(wave, WaveStatus::Done);
     maybeFinalize(&wave);
-}
-
-void
-ComputeUnit::executeValu(Wavefront &wave, const Instruction &inst)
-{
-    ++lazy_.valuInsts;
-    // Every operand lane is now Ready or (correctly) Suspended; VMacF32's
-    // accumulator, the destination plane, is read raw.
-    std::uint32_t *dst = wave.valueRow(inst.dst);
-    panic_if(!isa::evalValuPlane(inst.op, dst, planeSrc(wave, inst.src0),
-                                 planeSrc(wave, inst.src1), wave.wid()),
-             "unhandled VALU opcode %s", opcodeName(inst.op).c_str());
-    wave.setZeroMask(inst.dst, isa::zeroLanes(dst));
-    ++wave.pc;
 }
 
 void

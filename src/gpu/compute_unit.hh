@@ -119,8 +119,8 @@ class ComputeUnit final : public Clocked, private LazyUnit::Transport
 
     /**
      * Close the open stall interval at this CU's current engine time (its
-     * domain engine under --sa-threads). Under LAZYGPU_CHECK, panics
-     * unless the buckets sum exactly to the elapsed cycles.
+     * domain engine under --sa-threads), then panic unless the buckets
+     * sum exactly to the elapsed cycles.
      */
     void finalizeCycleAccounting();
 
@@ -157,7 +157,6 @@ class ComputeUnit final : public Clocked, private LazyUnit::Transport
     Wavefront *pickWave(unsigned simd);
     void executeOne(Wavefront &wave, unsigned simd);
     void executeScalar(Wavefront &wave, const Instruction &inst);
-    void executeValu(Wavefront &wave, const Instruction &inst);
     void executeLoad(Wavefront &wave, const Instruction &inst);
 
     /**

@@ -322,8 +322,8 @@ Gpu::run(const Kernel &kernel, Tick limit_cycles)
         if (cfg_.cycleAccounting) {
             // Close every open stall interval at each CU's own engine
             // time (domain engines stop at different ticks under
-            // --sa-threads) — this is where the LAZYGPU_CHECK
-            // sum-of-buckets == elapsed-cycles invariant fires. Runs
+            // --sa-threads) — this is where the sum-of-buckets ==
+            // elapsed-cycles invariant fires, in every build. Runs
             // before the rabbit extrapolation below so the invariant
             // sees raw timed-window buckets.
             for (auto &cu : cus_)

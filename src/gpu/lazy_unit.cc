@@ -181,10 +181,17 @@ LazyUnit::overwrite(Wavefront &wave, unsigned first, unsigned nregs)
 }
 
 PendingLoad *
-LazyUnit::record(Wavefront &wave, const Instruction &inst, Tick now,
-                 std::vector<PendingLoad::Tx> txs)
+LazyUnit::record(Wavefront &wave, const Instruction &inst, Tick now)
 {
     ++loadInsts;
+    // Reuse a recycled transaction vector (already empty) so the
+    // per-load heap round trip disappears in steady state.
+    std::vector<PendingLoad::Tx> txs;
+    auto &pool = tx_pool_[static_cast<unsigned>(inst.op)];
+    if (!pool.empty()) {
+        txs = std::move(pool.back());
+        pool.pop_back();
+    }
     PendingLoad &pl = recordLoad(wave, inst, now, std::move(txs));
     if (!isLazy(mode_) || encodable(pl))
         return &pl;
@@ -249,7 +256,13 @@ LazyUnit::finishIfResolved(Wavefront &wave, PendingLoad &pl)
 {
     if (pl.wordsLeft != 0)
         return;
-    transport_.released(pl);
+    // clear() destroys the transactions, so no stale state survives
+    // the recycling.
+    auto &pool = tx_pool_[static_cast<unsigned>(pl.op)];
+    if (pl.txs.capacity() != 0 && pool.size() < txPoolCap) {
+        pl.txs.clear();
+        pool.push_back(std::move(pl.txs));
+    }
     wave.removePending(pl.id);
 }
 

@@ -120,8 +120,6 @@ class LazyUnit
         virtual void suspended(const PendingLoad &, unsigned) {}
         /** Transactions of pl were just eliminated. */
         virtual void eliminated(const PendingLoad &, const ElimTally &) {}
-        /** pl is fully resolved and about to be removed. */
-        virtual void released(PendingLoad &) {}
 
       protected:
         ~Transport() = default;
@@ -173,13 +171,12 @@ class LazyUnit
     void bundleIssue(Wavefront &wave);
 
     /**
-     * Record load inst (Sec 4.1). txs is empty storage to reuse. A lazy
-     * mode issues a load whose lanes disagree in the upper address bits
-     * at once, without masks, and returns nullptr; otherwise the caller
-     * reads the masks (wantsMasks) and, in an eager mode, issues.
+     * Record load inst (Sec 4.1). A lazy mode issues a load whose lanes
+     * disagree in the upper address bits at once, without masks, and
+     * returns nullptr; otherwise the caller reads the masks (wantsMasks)
+     * and, in an eager mode, issues.
      */
-    PendingLoad *record(Wavefront &wave, const Instruction &inst, Tick now,
-                        std::vector<PendingLoad::Tx> txs = {});
+    PendingLoad *record(Wavefront &wave, const Instruction &inst, Tick now);
 
     /** Does this machine read a load's zero masks? */
     bool wantsMasks() const { return wants_masks_; }
@@ -205,7 +202,10 @@ class LazyUnit
      */
     void issue(Wavefront &wave, PendingLoad &pl);
 
-    /** Remove pl once every word is resolved. */
+    /**
+     * Remove pl once every word is resolved; its transaction vector goes
+     * back to the pool record draws from.
+     */
     void finishIfResolved(Wavefront &wave, PendingLoad &pl);
 
     /**
@@ -268,6 +268,17 @@ class LazyUnit
     std::vector<Addr> scratch_mask_bytes_;
     std::vector<Addr> scratch_mask_txs_;
     Coalescer coalescer_;
+    /**
+     * Emptied PendingLoad::txs vectors, recycled by record: one stack
+     * per load opcode (the loads open the Opcode enum). recordLoad
+     * reserves an opcode's largest transaction count, so one shared
+     * stack would hand every load the widest opcode's capacity and grow
+     * the memory of the loads in flight.
+     */
+    std::array<std::vector<std::vector<PendingLoad::Tx>>,
+               static_cast<unsigned>(Opcode::LoadDwordX4) + 1>
+        tx_pool_;
+    static constexpr std::size_t txPoolCap = 64;
 };
 
 } // namespace lazygpu

@@ -1,7 +1,6 @@
 #include "gpu/rabbit.hh"
 
 #include "isa/eval.hh"
-#include "isa/simd.hh"
 #include "sim/logging.hh"
 
 namespace lazygpu
@@ -63,12 +62,14 @@ RabbitExecutor::run(const Kernel &kernel, unsigned wid,
         }
         // Issue resolves at once here, so prepare always succeeds.
         lazy_.prepare(wave, inst);
-        if (isLoad(inst.op))
+        if (isLoad(inst.op)) {
             execLoad(wave, inst);
-        else if (isStore(inst.op))
+        } else if (isStore(inst.op)) {
             lazy_.store(wave, inst);
-        else
+        } else {
+            ++lazy_.valuInsts;
             execValu(wave, inst);
+        }
         ++wave.pc;
     }
     heartbeat();
@@ -83,60 +84,9 @@ RabbitExecutor::heartbeat()
 }
 
 void
-RabbitExecutor::execValu(Wavefront &wave, const Instruction &inst)
-{
-    ++lazy_.valuInsts;
-
-    // Every operand lane is Ready or (correctly) Suspended, and a
-    // suspended lane reads as zero.
-    if (!isa::scalarRefEnabled()) {
-        // The plane core, exactly as in the timed CU: suspended lanes
-        // ride along as PlaneSrc::zeroed, and VMacF32's accumulator --
-        // the destination plane -- stays raw.
-        std::uint32_t *dst = wave.valueRow(inst.dst);
-        panic_if(!isa::evalValuPlane(inst.op, dst,
-                                     planeSrc(wave, inst.src0),
-                                     planeSrc(wave, inst.src1), wave.wid()),
-                 "unhandled VALU opcode %s", opcodeName(inst.op).c_str());
-        wave.setZeroMask(inst.dst, isa::zeroLanes(dst));
-        return;
-    }
-
-    // Scalar oracle path (LAZYGPU_SCALAR_REF): one lane at a time
-    // through isa::evalValu, the single source of per-lane semantics.
-    auto read = [&](const Src &s, unsigned lane) -> std::uint32_t {
-        // A (2)-suspended lane is read as zero, as in the timed path.
-        if (s.kind == SrcKind::VReg &&
-            wave.regState(s.value, lane) == RegState::Suspended) {
-            return 0;
-        }
-        return readSrc(wave, s, lane);
-    };
-
-    for (unsigned lane = 0; lane < wavefrontSize; ++lane) {
-        const std::uint32_t a = read(inst.src0, lane);
-        const std::uint32_t b = read(inst.src1, lane);
-        bool known = true;
-        const std::uint32_t out =
-            isa::evalValu(inst.op, a, b, wave.vreg(inst.dst, lane),
-                          wave.wid(), lane, known);
-        panic_if(!known, "unhandled VALU opcode %s",
-                 opcodeName(inst.op).c_str());
-        wave.setVreg(inst.dst, lane, out);
-    }
-}
-
-void
 RabbitExecutor::execLoad(Wavefront &wave, const Instruction &inst)
 {
-    // Reuse a scavenged transaction vector (already empty) so the
-    // per-load heap round trip disappears in steady state.
-    std::vector<PendingLoad::Tx> txs;
-    if (!tx_pool_.empty()) {
-        txs = std::move(tx_pool_.back());
-        tx_pool_.pop_back();
-    }
-    PendingLoad *pl = lazy_.record(wave, inst, 0, std::move(txs));
+    PendingLoad *pl = lazy_.record(wave, inst, 0);
     if (!pl)
         return; // issued at once: mixed upper address bits
     // The Zero Read Req/Rsp pair, collapsed to record time: the Zero
@@ -170,18 +120,6 @@ RabbitExecutor::send(Wavefront &wave, PendingLoad &pl, unsigned tx,
     }
     ++lazy_.txsCompleted; // responses are instantaneous on this path
     fillBusyWords(wave, pl, pl.txs[tx], mem_, nullptr, 0);
-}
-
-void
-RabbitExecutor::released(PendingLoad &pl)
-{
-    // Scavenge the transaction vector's heap block for the next load;
-    // clear() destroys the elements, so no stale transaction state
-    // survives the recycling.
-    if (pl.txs.capacity() != 0 && tx_pool_.size() < txPoolCap) {
-        pl.txs.clear();
-        tx_pool_.push_back(std::move(pl.txs));
-    }
 }
 
 bool

@@ -16,12 +16,10 @@
  * (GlobalMemory, retired register values) is bit-exact with the timed
  * path for race-free kernels.
  *
- * VALU instructions execute on the vectorized plane core shared with
- * the timed ComputeUnit (isa::evalValuPlane over the Wavefront's
- * contiguous register planes, suspended lanes passed as
- * PlaneSrc::zeroed bitmaps); the LAZYGPU_SCALAR_REF environment
- * variable (isa::scalarRefEnabled) routes them through the per-lane
- * scalar interpreter instead.
+ * VALU instructions run through execValu (gpu/wavefront.hh), the
+ * timed ComputeUnit's VALU step: the vectorized plane core over the
+ * Wavefront's contiguous register planes, suspended lanes passed as
+ * PlaneSrc::zeroed bitmaps.
  *
  * The one deliberate approximation: memory responses are instantaneous.
  * Zero masks "arrive" at record time (in the timed pipeline they arrive
@@ -44,7 +42,6 @@
 #include <cstdint>
 #include <deque>
 #include <unordered_set>
-#include <vector>
 
 #include "gpu/lazy_unit.hh"
 #include "mem/memory.hh"
@@ -85,14 +82,12 @@ class RabbitExecutor final : private LazyUnit::Transport
                       std::uint64_t max_insts = 4'000'000);
 
   private:
-    void execValu(Wavefront &wave, const Instruction &inst);
     void execLoad(Wavefront &wave, const Instruction &inst);
 
     // --- The Lazy Unit's instant transport -------------------------------
     bool maskResident(Addr mask_addr) override;
     void send(Wavefront &wave, PendingLoad &pl, unsigned tx,
               bool short_circuit) override;
-    void released(PendingLoad &pl) override;
 
     /** EagerZC: a mask read lands in the L1 Zero Cache residency model. */
     void insertMaskLine(Addr mask_addr);
@@ -108,10 +103,6 @@ class RabbitExecutor final : private LazyUnit::Transport
     const std::size_t mask_line_cap_;
     std::deque<Addr> mask_fifo_;
     std::unordered_set<Addr> mask_lines_;
-
-    /** Recycled PendingLoad::txs heap blocks (see execLoad). */
-    std::vector<std::vector<PendingLoad::Tx>> tx_pool_;
-    static constexpr std::size_t txPoolCap = 64;
 
     std::uint64_t total_insts_ = 0;
     std::uint64_t beat_countdown_;

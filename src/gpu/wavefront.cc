@@ -59,6 +59,16 @@ Wavefront::removePending(unsigned id)
     pendings_.erase(it);
 }
 
+void
+execValu(Wavefront &wave, const Instruction &inst)
+{
+    std::uint32_t *dst = wave.valueRow(inst.dst);
+    panic_if(!isa::evalValuPlane(inst.op, dst, planeSrc(wave, inst.src0),
+                                 planeSrc(wave, inst.src1), wave.wid()),
+             "unhandled VALU opcode %s", opcodeName(inst.op).c_str());
+    wave.setZeroMask(inst.dst, isa::zeroLanes(dst));
+}
+
 namespace
 {
 

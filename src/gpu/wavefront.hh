@@ -332,7 +332,7 @@ class Wavefront
     std::vector<PendingLoad *> owner_;
 };
 
-// --- Operand access and the otimes tests, shared by both executors -------
+// --- Operands, the VALU step and the otimes test, shared by both executors
 
 /** The value of operand s in one lane (lane 0 for scalar instructions). */
 inline std::uint32_t
@@ -363,6 +363,15 @@ planeSrc(const Wavefront &wave, const Src &s)
         return PlaneSrc{nullptr, readSrc(wave, s, 0), 0};
     return PlaneSrc{wave.valueRow(s.value), 0, wave.suspendedMask(s.value)};
 }
+
+/**
+ * Execute VALU instruction inst over wave's register planes, the one
+ * VALU step of both executors: every operand lane is Ready or
+ * (correctly) Suspended, suspended lanes read as zero, and VMacF32's
+ * accumulator -- the destination plane -- is read raw. Refreshes the
+ * destination's zero bitmap.
+ */
+void execValu(Wavefront &wave, const Instruction &inst);
 
 /**
  * The otimes counterpart test (Sec 4.3) for source register reg of
@@ -404,8 +413,8 @@ struct ElimTally
  * Record load inst as a new pending load of wave (Sec 4.1): per-lane
  * addresses, the 32 B transactions in the order lanes first touch them
  * (lane by lane, registers in order within a lane), and every
- * destination lane Pending. txs is empty storage to reuse (the rabbit
- * recycles it); the destination registers must be Ready.
+ * destination lane Pending. txs is empty storage to reuse (the Lazy
+ * Unit recycles it); the destination registers must be Ready.
  */
 PendingLoad &recordLoad(Wavefront &wave, const Instruction &inst,
                         Tick now, std::vector<PendingLoad::Tx> txs = {});

@@ -2,14 +2,13 @@
  * @file
  * Shared functional ISA semantics.
  *
- * One definition of the per-lane VALU arithmetic and the scalar
- * instructions, used by every executor: the timed ComputeUnit, the
- * rabbit fast-path executor and the verification reference executor.
- * evalValu is the per-lane specification that the vectorized plane core
- * (isa/simd.hh), which all three run VALU instructions on, must match
- * bit for bit; the scalar reference loop and the rabbit's scalar-oracle
- * branch still run it. Likewise loadRegWord, the per-word load
- * semantics the reference executor runs, is the specification the Lazy
+ * The scalar instructions (evalScalar), run by every executor: the
+ * timed ComputeUnit, the rabbit fast-path executor and the verification
+ * reference executor. And two per-lane specifications. evalValu is the
+ * one the vectorized plane core (isa/simd.hh), the only VALU path the
+ * executors run, must match bit for bit; the SimdEquiv tests and
+ * verif::runReferenceScalar call it by name. loadRegWord, the per-word
+ * load semantics the reference executor runs, is the one the Lazy
  * Unit's per-transaction block reads (gpu/wavefront.cc) must match word
  * for word (tests/test_lazy_walk.cc).
  */

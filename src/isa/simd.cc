@@ -2,10 +2,6 @@
  * @file
  * The vectorized functional core's per-opcode plane loops.
  *
- * Compiled twice (see simd.hh): normally into lazygpu::isa, and with
- * LAZYGPU_SIMD_NOVEC + -fno-tree-vectorize into lazygpu::isa_novec as
- * the fixed scalar-codegen reference of the vectorization A/B guard.
- *
  * Every loop body is branch-free over dense operand rows, the shape the
  * auto-vectorizer rewards: operands are materialised up front into
  * plane-sized rows (splat expansion and suspended-lane zeroing happen
@@ -21,7 +17,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdlib>
 #include <cstring>
 
 #if defined(__SSE2__)
@@ -31,11 +26,7 @@
 namespace lazygpu
 {
 
-#ifdef LAZYGPU_SIMD_NOVEC
-namespace isa_novec
-#else
 namespace isa
-#endif
 {
 
 namespace
@@ -168,7 +159,7 @@ evalValuPlane(Opcode op, std::uint32_t *dst, const PlaneSrc &a,
 LaneMask
 zeroLanes(const std::uint32_t *row)
 {
-#if defined(__SSE2__) && !defined(LAZYGPU_SIMD_NOVEC)
+#if defined(__SSE2__)
     // movmskps turns four lane-zero compares into four mask bits per
     // step; 16 steps cover the plane.
     LaneMask m = 0;
@@ -194,44 +185,6 @@ zeroLanes(const std::uint32_t *row)
 #endif
 }
 
-} // namespace isa / isa_novec
-
-#ifndef LAZYGPU_SIMD_NOVEC
-
-namespace isa
-{
-
-namespace
-{
-
-/** -1 = process default; 0/1 = forced by setScalarRefForTesting. */
-int scalar_ref_force = -1;
-
-bool
-scalarRefDefault()
-{
-    const char *e = std::getenv("LAZYGPU_SCALAR_REF");
-    return e && !(e[0] == '0' && e[1] == '\0');
-}
-
-} // namespace
-
-bool
-scalarRefEnabled()
-{
-    static const bool process_default = scalarRefDefault();
-    return scalar_ref_force < 0 ? process_default
-                                : scalar_ref_force != 0;
-}
-
-void
-setScalarRefForTesting(int force)
-{
-    scalar_ref_force = force < 0 ? -1 : (force != 0 ? 1 : 0);
-}
-
 } // namespace isa
-
-#endif // !LAZYGPU_SIMD_NOVEC
 
 } // namespace lazygpu

@@ -4,14 +4,15 @@
  *
  * Every compute-unit cycle is classified into exactly one exclusive
  * bucket, so the buckets of one CU always sum to that CU's elapsed
- * engine time (asserted under LAZYGPU_CHECK). The account is maintained
- * *incrementally* around the engine's hybrid cycle/event execution:
- * cycles the CU actually ticks are charged one at a time (issue-busy vs
- * scoreboard-wait), and the quiescent gaps the engine fast-forwards
- * across are charged lazily as intervals — the stall class of a gap is
- * decided when the CU goes quiescent and re-decided whenever an
- * in-flight response changes what the CU is waiting on, so a lazy wait
- * that turns into a memory wait mid-gap splits the interval correctly.
+ * engine time (asserted at the end of every launch). The account is
+ * maintained *incrementally* around the engine's hybrid cycle/event
+ * execution: cycles the CU actually ticks are charged one at a time
+ * (issue-busy vs scoreboard-wait), and the quiescent gaps the engine
+ * fast-forwards across are charged lazily as intervals — the stall
+ * class of a gap is decided when the CU goes quiescent and re-decided
+ * whenever an in-flight response changes what the CU is waiting on, so
+ * a lazy wait that turns into a memory wait mid-gap splits the interval
+ * correctly.
  *
  * Buckets are pure tick arithmetic over per-CU Counters (one writer per
  * engine domain), so enabling the account never perturbs simulated

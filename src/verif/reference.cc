@@ -190,8 +190,8 @@ runReferenceScalar(const Kernel &kernel, GlobalMemory &mem,
 }
 
 RefResult
-runReferenceSimd(const Kernel &kernel, GlobalMemory &mem,
-                 std::uint64_t max_insts_per_wave)
+runReference(const Kernel &kernel, GlobalMemory &mem,
+             std::uint64_t max_insts_per_wave)
 {
     RefResult res;
     if (kernel.code.empty()) {
@@ -350,15 +350,6 @@ runReferenceSimd(const Kernel &kernel, GlobalMemory &mem,
         res.waves.push_back(std::move(w));
     }
     return res;
-}
-
-RefResult
-runReference(const Kernel &kernel, GlobalMemory &mem,
-             std::uint64_t max_insts_per_wave)
-{
-    return isa::scalarRefEnabled()
-               ? runReferenceScalar(kernel, mem, max_insts_per_wave)
-               : runReferenceSimd(kernel, mem, max_insts_per_wave);
 }
 
 } // namespace verif

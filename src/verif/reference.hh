@@ -62,10 +62,10 @@ struct RefResult
 
 /**
  * Execute every wavefront of the kernel to completion, untimed,
- * mutating mem (pass a copy of the launch image). Routes to the
- * vectorized plane executor unless the LAZYGPU_SCALAR_REF environment
- * variable (isa::scalarRefEnabled) selects the scalar oracle; both produce
- * bit-identical RefResults.
+ * mutating mem (pass a copy of the launch image). VALU instructions run
+ * as one dense 64-lane loop per opcode over contiguous register planes
+ * (isa::evalValuPlane), and unit-stride loads/stores are batched
+ * through the pageForSpan fast path.
  *
  * @param max_insts_per_wave livelock guard; exceeded -> error set.
  */
@@ -73,20 +73,13 @@ RefResult runReference(const Kernel &kernel, GlobalMemory &mem,
                        std::uint64_t max_insts_per_wave = 4'000'000);
 
 /**
- * The frozen scalar oracle: one lane at a time through isa::evalValu /
- * loadRegWord / writeU32, deliberately independent of the vectorized
- * plane core so the two paths check each other differentially.
+ * The per-lane specification of runReference: one lane at a time
+ * through isa::evalValu / loadRegWord / writeU32, independent of the
+ * plane core and the batched memory paths. The SimdEquiv tests compare
+ * runReference against it; the simulator never calls it.
  */
 RefResult runReferenceScalar(const Kernel &kernel, GlobalMemory &mem,
                              std::uint64_t max_insts_per_wave = 4'000'000);
-
-/**
- * The vectorized executor: VALU ops as one dense 64-lane loop per
- * opcode over contiguous register planes (isa::evalValuPlane), and
- * unit-stride loads/stores batched through the pageForSpan fast path.
- */
-RefResult runReferenceSimd(const Kernel &kernel, GlobalMemory &mem,
-                           std::uint64_t max_insts_per_wave = 4'000'000);
 
 } // namespace verif
 } // namespace lazygpu

@@ -101,8 +101,8 @@ TEST_P(CycAcctInvariant, BucketsSumToElapsedCuCycles)
 
     // Classic engine: every CU's account spans [0, engine.now()), so
     // the GPU-wide totals sum to numCus * now. (The per-CU equality in
-    // every mode, including sharded, is asserted by LAZYGPU_CHECK
-    // builds at the end of each launch.)
+    // every mode, including sharded, is asserted at the end of each
+    // launch in every build.)
     const auto totals = cycacct::sumBuckets(gpu.stats());
     std::uint64_t sum = 0;
     for (std::uint64_t v : totals)

@@ -1,13 +1,16 @@
 /**
  * @file
  * Property tests of the vectorized SIMD functional backend
- * (src/isa/simd.cc): bit-equivalence of the 64-lane plane loops against
- * the scalar interpreter for every VALU opcode under random operands and
- * suspension masks, the zero-bitmap probe, the batched load/store paths
- * of the reference executor across every access width, the Wavefront
- * scoreboard bitmap coherence, rabbit scalar-vs-plane lockstep (Fig 14
- * outcome classes) across all five ExecModes, and the A/B guard that
- * fails if auto-vectorization of the plane core silently breaks.
+ * (src/isa/simd.cc), the simulator's only VALU path, against its
+ * per-lane specifications: bit-equivalence of the 64-lane plane loops
+ * with isa::evalValu for every VALU opcode under random operands and
+ * suspension masks, the zero-bitmap probe, the plane reference executor
+ * (verif::runReference) against the per-lane one
+ * (verif::runReferenceScalar) on the fuzz corpus and seed bands and
+ * across every access width of its batched load/store paths, the
+ * Wavefront scoreboard bitmap coherence, functional verification of the
+ * rabbit in all five ExecModes, and the guard that fails if
+ * auto-vectorization of the plane core silently breaks.
  */
 
 #include <gtest/gtest.h>
@@ -17,13 +20,11 @@
 #include <chrono>
 #include <cstdint>
 #include <cstring>
-#include <map>
 #include <random>
 #include <string>
 #include <vector>
 
 #include "analysis/harness.hh"
-#include "gpu/gpu.hh"
 #include "gpu/wavefront.hh"
 #include "isa/eval.hh"
 #include "isa/kernel.hh"
@@ -86,10 +87,11 @@ using Plane = std::array<std::uint32_t, wavefrontSize>;
  * Float-arithmetic opcodes get NaN operands replaced by same-signed
  * infinities. With two NaN operands the propagated payload depends on
  * operand order, which the compiler may legally commute differently in
- * the two plane TUs, so bit-equality over NaN *inputs* is not a
- * property the backend can promise. NaN *generation* (inf - inf,
- * 0 * inf, sqrt of negative, ...) is deterministic and stays covered
- * through the infinities and signed zeros this mapping preserves.
+ * the plane loops and the per-lane spec, so bit-equality over NaN
+ * *inputs* is not a property the backend can promise. NaN *generation*
+ * (inf - inf, 0 * inf, sqrt of negative, ...) is deterministic and stays
+ * covered through the infinities and signed zeros this mapping
+ * preserves.
  */
 bool
 floatArith(Opcode op)
@@ -145,8 +147,8 @@ srcLane(const PlaneSrc &s, unsigned lane)
 }
 
 /**
- * Run op through both plane builds and the scalar interpreter and
- * expect all three to agree bit-for-bit on every lane.
+ * Run op through the plane core and the per-lane spec and expect them
+ * to agree bit-for-bit on every lane.
  */
 void
 expectPlaneMatchesScalar(Opcode op, const PlaneSrc &a, const PlaneSrc &b,
@@ -154,20 +156,14 @@ expectPlaneMatchesScalar(Opcode op, const PlaneSrc &a, const PlaneSrc &b,
                          const std::string &what)
 {
     Plane vec = acc;
-    Plane novec = acc;
     ASSERT_TRUE(isa::evalValuPlane(op, vec.data(), a, b, wid)) << what;
-    ASSERT_TRUE(isa_novec::evalValuPlane(op, novec.data(), a, b, wid))
-        << what;
     for (unsigned lane = 0; lane < wavefrontSize; ++lane) {
         bool known = true;
         const std::uint32_t want =
             isa::evalValu(op, srcLane(a, lane), srcLane(b, lane),
                           acc[lane], wid, lane, known);
         ASSERT_TRUE(known) << what;
-        EXPECT_EQ(want, vec[lane])
-            << what << " lane " << lane << " (vectorized)";
-        EXPECT_EQ(want, novec[lane])
-            << what << " lane " << lane << " (novec twin)";
+        EXPECT_EQ(want, vec[lane]) << what << " lane " << lane;
     }
 }
 
@@ -228,7 +224,6 @@ TEST(SimdEquiv, PlaneMatchesScalarInPlace)
             }
 
             Plane vec = start;
-            Plane novec = start;
             PlaneSrc a;
             PlaneSrc b;
             if (which == 0) {
@@ -239,13 +234,6 @@ TEST(SimdEquiv, PlaneMatchesScalarInPlace)
                 b.row = vec.data(); // dst == src1
             }
             ASSERT_TRUE(isa::evalValuPlane(op, vec.data(), a, b, 3));
-            if (which == 0) {
-                a.row = novec.data();
-            } else {
-                b.row = novec.data();
-            }
-            ASSERT_TRUE(
-                isa_novec::evalValuPlane(op, novec.data(), a, b, 3));
 
             for (unsigned lane = 0; lane < wavefrontSize; ++lane) {
                 bool known = true;
@@ -259,9 +247,6 @@ TEST(SimdEquiv, PlaneMatchesScalarInPlace)
                 EXPECT_EQ(want, vec[lane])
                     << opcodeName(op) << " in-place src" << which
                     << " lane " << lane;
-                EXPECT_EQ(vec[lane], novec[lane])
-                    << opcodeName(op) << " in-place src" << which
-                    << " lane " << lane << " (novec twin)";
             }
         }
     }
@@ -281,11 +266,10 @@ TEST(SimdEquiv, ZeroLanesMatchesManualScan)
         for (unsigned lane = 0; lane < wavefrontSize; ++lane)
             want |= LaneMask(row[lane] == 0) << lane;
         EXPECT_EQ(want, isa::zeroLanes(row.data()));
-        EXPECT_EQ(want, isa_novec::zeroLanes(row.data()));
     }
 }
 
-// --- Reference executor: scalar oracle vs vectorized -----------------------
+// --- Reference executor: per-lane spec vs plane core ---------------------
 
 void
 expectRefEqual(const verif::RefResult &s, const verif::RefResult &v,
@@ -315,31 +299,50 @@ expectRefEqual(const verif::RefResult &s, const verif::RefResult &v,
     }
 }
 
+/** Registers, write logs and checked memory of both reference paths. */
+void
+expectReferencesAgree(const verif::GeneratedCase &c, const std::string &what)
+{
+    GlobalMemory mem_s = c.image;
+    GlobalMemory mem_v = c.image;
+    const verif::RefResult rs = verif::runReferenceScalar(c.kernel, mem_s);
+    const verif::RefResult rv = verif::runReference(c.kernel, mem_v);
+    expectRefEqual(rs, rv, what);
+    for (const auto &[base, bytes] : c.checkRegions) {
+        for (std::uint64_t off = 0; off < bytes; off += 4) {
+            ASSERT_EQ(mem_s.readU32(base + off), mem_v.readU32(base + off))
+                << what << " addr " << (base + off);
+        }
+    }
+}
+
+// The committed corpus plus the bands verif_fuzz sweeps with
+// generator-derived options: seeds 0:2000, and 2000:2400 at sparsity
+// 0.95 (dense zero masks). The differential sweeps check the timed
+// pipeline against runReference, so this pins it to the per-lane spec
+// too.
 TEST(SimdEquiv, ReferenceSimdMatchesScalarOnFuzzKernels)
 {
-    for (std::uint64_t seed = 0; seed < 60; ++seed) {
+    const auto files = verif::listCorpusFiles(LAZYGPU_CORPUS_DIR);
+    EXPECT_FALSE(files.empty())
+        << "no *.case files under " LAZYGPU_CORPUS_DIR;
+    for (const std::string &path : files) {
+        const verif::CorpusCase cc = verif::loadCorpusFile(path);
+        const verif::GeneratedCase probe = verif::generateCase(cc.opt);
+        expectReferencesAgree(
+            verif::generateCase(cc.opt,
+                                verif::enabledMask(cc, probe.numActions)),
+            path);
+    }
+    for (std::uint64_t seed = 0; seed < 2400; ++seed) {
         verif::GenOptions gen;
         gen.seed = seed;
-        if (seed % 3 == 1)
-            gen.sparsity = 0.95; // dense zero masks
-        const verif::GeneratedCase c = verif::generateCase(gen);
-
-        GlobalMemory mem_s = c.image;
-        GlobalMemory mem_v = c.image;
-        const verif::RefResult rs =
-            verif::runReferenceScalar(c.kernel, mem_s);
-        const verif::RefResult rv =
-            verif::runReferenceSimd(c.kernel, mem_v);
-        expectRefEqual(rs, rv, "seed " + std::to_string(seed));
-
-        // Final memory must match over every checked region.
-        for (const auto &[base, bytes] : c.checkRegions) {
-            for (std::uint64_t off = 0; off < bytes; off += 4) {
-                ASSERT_EQ(mem_s.readU32(base + off),
-                          mem_v.readU32(base + off))
-                    << "seed " << seed << " addr " << (base + off);
-            }
-        }
+        if (seed >= 2000)
+            gen.sparsity = 0.95;
+        expectReferencesAgree(verif::generateCase(gen),
+                              "seed " + std::to_string(seed));
+        if (HasFatalFailure())
+            return;
     }
 }
 
@@ -396,7 +399,7 @@ TEST(SimdEquiv, ReferenceLoadStoreWidths)
     GlobalMemory mem_s = mem;
     GlobalMemory mem_v = mem;
     const verif::RefResult rs = verif::runReferenceScalar(k, mem_s);
-    const verif::RefResult rv = verif::runReferenceSimd(k, mem_v);
+    const verif::RefResult rv = verif::runReference(k, mem_v);
     ASSERT_TRUE(rs.ok()) << rs.error;
     expectRefEqual(rs, rv, "widths kernel");
     for (std::uint64_t off = 0; off < threads * 16 * 6; off += 4) {
@@ -492,87 +495,56 @@ TEST(SimdEquiv, WavefrontBulkHelpersKeepBitmapsCoherent)
     EXPECT_EQ(want, w.zeroMask(3));
 }
 
-// --- Rabbit lockstep across ExecModes --------------------------------------
+// --- Rabbit functional verification across ExecModes ----------------------
 
-GpuConfig
-rabbitConfig(ExecMode mode)
-{
-    GpuConfig cfg = hasZeroCaches(mode) ? GpuConfig::lazyGpu(mode)
-                                        : GpuConfig::r9Nano();
-    cfg = cfg.scaled(16);
-    cfg.mode = mode;
-    cfg.timingWaves = 0; // pure rabbit: every wave on the functional path
-    return cfg;
-}
-
-// The rabbit executor on the scalar oracle and on the plane core must
-// agree on every gpu.rabbit.* counter -- in particular the Fig 14
-// outcome classes (issued / zero / otimes / dead eliminations) -- and
-// both must pass functional verification, in all five ExecModes.
-TEST(SimdEquiv, RabbitScalarVsPlaneLockstepAllModes)
+// The harness verifies the rabbit-executed memory against the
+// reference, in all five ExecModes.
+TEST(SimdEquiv, RabbitVerifiesAllModes)
 {
     WorkloadParams p;
     p.sparsity = 0.9; // sparse data drives the elimination machinery
     p.scale = 16;
-
     for (const ExecMode mode : verif::allModes()) {
-        auto runOnce = [&](int force) {
-            isa::setScalarRefForTesting(force);
-            Workload w = makeMM(p, 32);
-            Gpu gpu(rabbitConfig(mode), *w.mem);
-            for (const Kernel &k : w.kernels)
-                gpu.run(k);
-            std::map<std::string, std::uint64_t> counters;
-            for (const auto &[name, c] : gpu.stats().counters()) {
-                if (name.rfind("gpu.rabbit.", 0) == 0)
-                    counters[name] = c.value();
-            }
-            isa::setScalarRefForTesting(-1);
-            return counters;
-        };
-        const auto scalar = runOnce(1);
-        const auto plane = runOnce(0);
-        EXPECT_EQ(scalar, plane) << toString(mode);
-        const auto valu = plane.find("gpu.rabbit.valu_insts");
-        ASSERT_NE(plane.end(), valu) << toString(mode);
-        EXPECT_GT(valu->second, 0u) << toString(mode);
+        GpuConfig cfg = hasZeroCaches(mode) ? GpuConfig::lazyGpu(mode)
+                                            : GpuConfig::r9Nano();
+        cfg = cfg.scaled(16);
+        cfg.mode = mode;
+        cfg.timingWaves = 0; // pure rabbit: every wave functional
+        // Natural wave count: verify() checks the whole output matrix,
+        // so the kernel must cover every element.
+        Workload w = makeMM(p);
+        const RunResult r = runWorkload(cfg, w, true);
+        EXPECT_EQ(RunStatus::Ok, r.status) << toString(mode);
+        EXPECT_TRUE(r.verifyError.empty())
+            << toString(mode) << ": " << r.verifyError;
     }
 }
 
-// Functional verification stays green on both interpretations: the
-// harness verifies the rabbit-executed memory against the reference,
-// which follows the same toggle.
-TEST(SimdEquiv, RabbitVerifiesOnBothPathsAllModes)
-{
-    WorkloadParams p;
-    p.sparsity = 0.9;
-    p.scale = 16;
-    for (const ExecMode mode : verif::allModes()) {
-        for (const int force : {1, 0}) {
-            isa::setScalarRefForTesting(force);
-            GpuConfig cfg = rabbitConfig(mode);
-            // Natural wave count: verify() checks the whole output
-            // matrix, so the kernel must cover every element.
-            Workload w = makeMM(p);
-            const RunResult r = runWorkload(cfg, w, true);
-            isa::setScalarRefForTesting(-1);
-            EXPECT_EQ(RunStatus::Ok, r.status) << toString(mode);
-            EXPECT_TRUE(r.verifyError.empty())
-                << toString(mode) << " force " << force << ": "
-                << r.verifyError;
-        }
-    }
-}
+// --- Guard: the plane core must beat the per-lane spec by a wide margin ---
 
-// --- A/B guard: vectorized build must beat the novec twin ------------------
-
-// Only meaningful on optimized, unsanitized builds; elsewhere the two
-// TUs get near-identical codegen and the ratio is noise.
+// Only meaningful on optimized, unsanitized builds; elsewhere neither
+// side is vectorized and the ratio is noise.
 #if defined(__OPTIMIZE__) && !defined(__SANITIZE_THREAD__) && \
     !defined(__SANITIZE_ADDRESS__)
-TEST(SimdEquiv, VectorizedPlaneBeatsNoVecTwin)
+/**
+ * The per-lane spec run over a plane: what the plane core would cost if
+ * its loops did not vectorize. Out of line, so the optimizer cannot
+ * fold it into the timing loop.
+ */
+[[gnu::noinline]] bool
+evalValuPerLane(Opcode op, std::uint32_t *dst, const PlaneSrc &a,
+                const PlaneSrc &b, unsigned wid)
 {
-    std::mt19937_64 rng(5);
+    bool known = true;
+    for (unsigned lane = 0; lane < wavefrontSize; ++lane) {
+        dst[lane] = isa::evalValu(op, srcLane(a, lane), srcLane(b, lane),
+                                  dst[lane], wid, lane, known);
+    }
+    return known;
+}
+
+TEST(SimdEquiv, VectorizedPlaneBeatsPerLaneSpec)
+{
     alignas(64) std::uint32_t arow[wavefrontSize];
     alignas(64) std::uint32_t brow[wavefrontSize];
     alignas(64) std::uint32_t dst[wavefrontSize];
@@ -611,25 +583,20 @@ TEST(SimdEquiv, VectorizedPlaneBeatsNoVecTwin)
         return best;
     };
 
-    const double vec = bestOf([](Opcode op, std::uint32_t *d,
-                                 const PlaneSrc &a, const PlaneSrc &b,
-                                 unsigned wid) {
-        return isa::evalValuPlane(op, d, a, b, wid);
-    });
-    const double novec = bestOf([](Opcode op, std::uint32_t *d,
-                                   const PlaneSrc &a, const PlaneSrc &b,
-                                   unsigned wid) {
-        return isa_novec::evalValuPlane(op, d, a, b, wid);
-    });
+    const double plane = bestOf(isa::evalValuPlane);
+    const double per_lane = bestOf(evalValuPerLane);
 
-    // The measured gap is ~4-5x; 1.2x leaves generous headroom for a
-    // loaded CI host while still catching "auto-vectorization silently
-    // stopped firing" (which would drive the ratio to ~1.0x).
-    EXPECT_GE(novec / vec, 1.2)
-        << "vectorized " << vec * 1e3 << " ms vs novec " << novec * 1e3
+    // Measured on a 4-vCPU x86-64 VM (Release + LTO, GCC 12.2): the
+    // plane core runs 9-24x faster than the per-lane loop, and only
+    // 2.5-3.7x faster with simd.cc built -fno-tree-vectorize
+    // -fno-tree-slp-vectorize. The floor fails a core whose loops
+    // silently stopped vectorizing and leaves a vectorized one
+    // headroom for a loaded host.
+    EXPECT_GE(per_lane / plane, 6.0)
+        << "plane " << plane * 1e3 << " ms vs per-lane " << per_lane * 1e3
         << " ms (sink " << sink << ")";
 }
-#endif // __OPTIMIZE__ && !__SANITIZE_THREAD__
+#endif // __OPTIMIZE__ && !__SANITIZE_THREAD__ && !__SANITIZE_ADDRESS__
 
 } // namespace
 } // namespace lazygpu
