@@ -378,11 +378,9 @@ ComputeUnit::send(Wavefront &wave, PendingLoad &pl, unsigned tx_idx,
             [this, wp, pl_id, tx_idx]() {
                 Wavefront &w = *wp;
                 --w.outstanding_txs_;
-                auto it = w.pendings().find(pl_id);
-                if (it != w.pendings().end()) {
-                    PendingLoad &p = it->second;
-                    zeroBusyWords(w, p, p.txs[tx_idx]);
-                    lazy_.finishIfResolved(w, p);
+                if (PendingLoad *p = w.findPending(pl_id)) {
+                    zeroBusyWords(w, *p, p->txs[tx_idx]);
+                    lazy_.finishIfResolved(w, *p);
                 }
                 wake(w);
                 maybeFinalize(wp);
@@ -414,17 +412,15 @@ ComputeUnit::send(Wavefront &wave, PendingLoad &pl, unsigned tx_idx,
             trace_->emit(TraceKind::TxEnd, traceTrack(), 0, engine_.now(),
                          span_id, tx_addr);
         }
-        auto it = w.pendings().find(pl_id);
         bool load_drained = true;
-        if (it != w.pendings().end()) {
-            PendingLoad &p = it->second;
-            --p.inflightTxs;
-            load_drained = p.inflightTxs == 0;
+        if (PendingLoad *p = w.findPending(pl_id)) {
+            --p->inflightTxs;
+            load_drained = p->inflightTxs == 0;
             if (inject_ && inject_->wantScoreboardFlip(engine_.now()))
-                p.wordsLeft += 1;
-            fillBusyWords(w, p, p.txs[tx_idx], mem_, inject_,
+                p->wordsLeft += 1;
+            fillBusyWords(w, *p, p->txs[tx_idx], mem_, inject_,
                           engine_.now());
-            lazy_.finishIfResolved(w, p);
+            lazy_.finishIfResolved(w, *p);
         }
         // Waking per transaction would burn issue slots on futile
         // re-executions; wake once the whole load's data is in.
@@ -461,15 +457,13 @@ ComputeUnit::requestMasks(Wavefront &wave, PendingLoad &pl)
                              engine_.now(), span_id, ma);
             }
             bool masks_done = true;
-            if (auto it = w.pendings().find(pl_id);
-                it != w.pendings().end()) {
-                PendingLoad &p = it->second;
-                masks_done = --p.masksOutstanding == 0;
+            if (PendingLoad *p = w.findPending(pl_id)) {
+                masks_done = --p->masksOutstanding == 0;
                 // EagerZC reads masks only for its Zero Cache.
                 if (hasZeroElimination(mode_)) {
                     // This 32 B mask transaction covers 1 KiB of data.
                     lazy_.maskArrived(
-                        w, p, GlobalMemory::maskedDataAddr(ma),
+                        w, *p, GlobalMemory::maskedDataAddr(ma),
                         GlobalMemory::maskedDataAddr(ma + transactionSize),
                         inject_, engine_.now());
                 }
@@ -478,15 +472,13 @@ ComputeUnit::requestMasks(Wavefront &wave, PendingLoad &pl)
             // parked issue request now that the Zero Read Rsp is back
             // (re-running the look-ahead so optimization (2) sees the
             // freshly zeroed counterpart values).
-            if (auto it = w.pendings().find(pl_id);
-                it != w.pendings().end() && masks_done &&
-                it->second.issueRequested &&
+            if (const PendingLoad *p = w.findPending(pl_id);
+                p && masks_done && p->issueRequested &&
                 w.status != WaveStatus::Done) {
                 lazy_.bundleIssue(w);
-                if (auto it2 = w.pendings().find(pl_id);
-                    it2 != w.pendings().end() &&
-                    it2->second.issueRequested) {
-                    lazy_.issue(w, it2->second);
+                if (PendingLoad *p2 = w.findPending(pl_id);
+                    p2 && p2->issueRequested) {
+                    lazy_.issue(w, *p2);
                 }
             }
             if (masks_done)
@@ -528,9 +520,10 @@ ComputeUnit::issueTx(Addr addr, bool write, Completion cb)
             // never reaches the LSU (a lost response packet).
             cb = nullptr;
         } else if (const Tick d = inject_->extraResponseDelay(now)) {
-            cb = [this, d, inner = std::move(cb)]() mutable {
-                engine_.scheduleIn(d, std::move(inner));
-            };
+            // The hook fires once per run, so one held completion
+            // suffices.
+            delayed_ = cb;
+            cb = [this, d]() { engine_.scheduleIn(d, delayed_); };
         }
     }
     engine_.scheduleIn(cfg_.lsuPipeLatency,

@@ -245,6 +245,8 @@ class ComputeUnit final : public Clocked, private LazyUnit::Transport
 
     std::vector<Tick> simd_busy_;
     std::function<void()> retire_cb_;
+    /** The data response a MemRespDelay fault holds back. */
+    Completion delayed_;
 
     /** Waves with status Ready; quiescent() is this count being zero. */
     unsigned ready_waves_ = 0;

@@ -155,13 +155,13 @@ LazyUnit::bundleIssue(Wavefront &wave)
         }
     }
     for (unsigned id : ids) {
-        auto it = wave.pendings().find(id);
-        if (it == wave.pendings().end())
+        PendingLoad *pl = wave.findPending(id);
+        if (!pl)
             continue;
-        if (it->second.masksOutstanding > 0)
-            it->second.issueRequested = true;
+        if (pl->masksOutstanding > 0)
+            pl->issueRequested = true;
         else
-            issue(wave, it->second);
+            issue(wave, *pl);
     }
 }
 
@@ -184,15 +184,15 @@ PendingLoad *
 LazyUnit::record(Wavefront &wave, const Instruction &inst, Tick now)
 {
     ++loadInsts;
-    // Reuse a recycled transaction vector (already empty) so the
-    // per-load heap round trip disappears in steady state.
-    std::vector<PendingLoad::Tx> txs;
-    auto &pool = tx_pool_[static_cast<unsigned>(inst.op)];
+    // Reuse a recycled load so the per-load heap round trip disappears
+    // in steady state.
+    std::unique_ptr<PendingLoad> reuse;
+    auto &pool = pool_[static_cast<unsigned>(inst.op)];
     if (!pool.empty()) {
-        txs = std::move(pool.back());
+        reuse = std::move(pool.back());
         pool.pop_back();
     }
-    PendingLoad &pl = recordLoad(wave, inst, now, std::move(txs));
+    PendingLoad &pl = recordLoad(wave, inst, now, std::move(reuse));
     if (!isLazy(mode_) || encodable(pl))
         return &pl;
     txsEagerFallback += pl.txs.size();
@@ -256,14 +256,10 @@ LazyUnit::finishIfResolved(Wavefront &wave, PendingLoad &pl)
 {
     if (pl.wordsLeft != 0)
         return;
-    // clear() destroys the transactions, so no stale state survives
-    // the recycling.
-    auto &pool = tx_pool_[static_cast<unsigned>(pl.op)];
-    if (pl.txs.capacity() != 0 && pool.size() < txPoolCap) {
-        pl.txs.clear();
-        pool.push_back(std::move(pl.txs));
-    }
-    wave.removePending(pl.id);
+    auto &pool = pool_[static_cast<unsigned>(pl.op)];
+    std::unique_ptr<PendingLoad> done = wave.removePending(pl.id);
+    if (done && pool.size() < poolCap)
+        pool.push_back(std::move(done));
 }
 
 void

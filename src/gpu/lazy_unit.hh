@@ -19,6 +19,7 @@
 #include <array>
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <span>
 #include <string>
 #include <vector>
@@ -203,8 +204,8 @@ class LazyUnit
     void issue(Wavefront &wave, PendingLoad &pl);
 
     /**
-     * Remove pl once every word is resolved; its transaction vector goes
-     * back to the pool record draws from.
+     * Remove pl once every word is resolved; it goes back to the pool
+     * record draws from.
      */
     void finishIfResolved(Wavefront &wave, PendingLoad &pl);
 
@@ -269,16 +270,17 @@ class LazyUnit
     std::vector<Addr> scratch_mask_txs_;
     Coalescer coalescer_;
     /**
-     * Emptied PendingLoad::txs vectors, recycled by record: one stack
-     * per load opcode (the loads open the Opcode enum). recordLoad
-     * reserves an opcode's largest transaction count, so one shared
-     * stack would hand every load the widest opcode's capacity and grow
-     * the memory of the loads in flight.
+     * Resolved PendingLoads, recycled by record: one stack per load
+     * opcode (the loads open the Opcode enum), at most poolCap each. A
+     * recycled load keeps its transaction vector's capacity, and
+     * recordLoad reserves an opcode's largest transaction count, so one
+     * shared stack would hand every load the widest opcode's capacity
+     * and grow the memory of the loads in flight.
      */
-    std::array<std::vector<std::vector<PendingLoad::Tx>>,
+    std::array<std::vector<std::unique_ptr<PendingLoad>>,
                static_cast<unsigned>(Opcode::LoadDwordX4) + 1>
-        tx_pool_;
-    static constexpr std::size_t txPoolCap = 64;
+        pool_;
+    static constexpr std::size_t poolCap = 64;
 };
 
 } // namespace lazygpu

@@ -29,13 +29,12 @@ Wavefront::Wavefront(const Kernel &kernel, unsigned wid)
 }
 
 PendingLoad &
-Wavefront::emplacePending()
+Wavefront::emplacePending(std::unique_ptr<PendingLoad> pl)
 {
     const unsigned id = next_pending_id_++;
-    auto [it, fresh] = pendings_.try_emplace(id);
-    panic_if(!fresh, "pending-load id reused");
-    it->second.id = id;
-    return it->second;
+    panic_if(findPending(id), "pending-load id reused");
+    pl->id = id;
+    return *pendings_.emplace_back(std::move(pl));
 }
 
 void
@@ -45,18 +44,23 @@ Wavefront::claimOwners(PendingLoad &pl)
         owner_[r] = &pl;
 }
 
-void
+std::unique_ptr<PendingLoad>
 Wavefront::removePending(unsigned id)
 {
-    auto it = pendings_.find(id);
+    auto it = std::find_if(pendings_.begin(), pendings_.end(),
+                           [id](const std::unique_ptr<PendingLoad> &pl) {
+                               return pl->id == id;
+                           });
     if (it == pendings_.end())
-        return;
-    const PendingLoad &pl = it->second;
-    for (unsigned r = pl.firstDst; r < pl.firstDst + pl.numRegs; ++r) {
-        if (owner_[r] == &pl)
+        return nullptr;
+    std::unique_ptr<PendingLoad> pl = std::move(*it);
+    for (unsigned r = pl->firstDst; r < pl->firstDst + pl->numRegs; ++r) {
+        if (owner_[r] == pl.get())
             owner_[r] = nullptr;
     }
-    pendings_.erase(it);
+    *it = std::move(pendings_.back());
+    pendings_.pop_back();
+    return pl;
 }
 
 void
@@ -227,9 +231,18 @@ settle(PendingLoad &pl, PendingLoad::Tx &tx, unsigned n, ElimTally &tally)
 
 PendingLoad &
 recordLoad(Wavefront &wave, const Instruction &inst, Tick now,
-           std::vector<PendingLoad::Tx> txs)
+           std::unique_ptr<PendingLoad> reuse)
 {
-    PendingLoad &pl = wave.emplacePending();
+    if (reuse) {
+        // Start from a fresh record, keeping the transaction storage.
+        std::vector<PendingLoad::Tx> txs = std::move(reuse->txs);
+        txs.clear();
+        *reuse = PendingLoad{};
+        reuse->txs = std::move(txs);
+    } else {
+        reuse = std::make_unique<PendingLoad>();
+    }
+    PendingLoad &pl = wave.emplacePending(std::move(reuse));
     pl.op = inst.op;
     pl.firstDst = inst.dst;
     pl.numRegs = loadDstRegs(inst.op);
@@ -272,7 +285,6 @@ recordLoad(Wavefront &wave, const Instruction &inst, Tick now,
                            txAlign(pl.laneAddr[lane - 1]))
                   << lane;
     }
-    pl.txs = std::move(txs);
     pl.txs.reserve(pl.numRegs * wavefrontSize * std::size_t(bytes) /
                    transactionSize);
     const auto txAt = [&pl](Addr ta) -> PendingLoad::Tx & {

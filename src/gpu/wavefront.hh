@@ -23,7 +23,7 @@
 
 #include <array>
 #include <cstdint>
-#include <unordered_map>
+#include <memory>
 #include <vector>
 
 #include "core/exec_mode.hh"
@@ -270,9 +270,9 @@ class Wavefront
     bool anyInFlight(unsigned r) const { return inflight_[r] != 0; }
 
     // --- Pending (lazy) loads -------------------------------------------
-    // The pending load owning register r, or nullptr. pendings_ is
-    // node-based, so the owner pointers stay valid across rehashes and
-    // unrelated insert/erase.
+    // The pending load owning register r, or nullptr. Each pending load
+    // is its own heap object, so the owner pointers stay valid while
+    // pendings_ grows and shrinks.
     PendingLoad *
     pendingFor(unsigned r)
     {
@@ -286,23 +286,34 @@ class Wavefront
     }
 
     /**
-     * Create an empty pending load in place with a fresh id; the caller
-     * fills it, then claims register ownership with claimOwners.
+     * Adopt pl as a pending load with a fresh id; the caller fills it,
+     * then claims register ownership with claimOwners.
      */
-    PendingLoad &emplacePending();
+    PendingLoad &emplacePending(std::unique_ptr<PendingLoad> pl);
 
     /** Point pl's destination registers at it. */
     void claimOwners(PendingLoad &pl);
 
-    /** Remove a fully resolved pending load by id. */
-    void removePending(unsigned id);
-
-    std::unordered_map<unsigned, PendingLoad> &pendings()
+    /** The pending load with this id, or nullptr (a short linear scan). */
+    PendingLoad *
+    findPending(unsigned id)
     {
-        return pendings_;
+        for (const std::unique_ptr<PendingLoad> &pl : pendings_) {
+            if (pl->id == id)
+                return pl.get();
+        }
+        return nullptr;
     }
 
-    const std::unordered_map<unsigned, PendingLoad> &pendings() const
+    /**
+     * Remove a fully resolved pending load by id and hand it back (the
+     * Lazy Unit recycles it); null when no load has the id.
+     */
+    std::unique_ptr<PendingLoad> removePending(unsigned id);
+
+    /** The pending loads, in no particular order. */
+    const std::vector<std::unique_ptr<PendingLoad>> &
+    pendings() const
     {
         return pendings_;
     }
@@ -326,7 +337,7 @@ class Wavefront
     std::vector<LaneMask> susp_;     //!< Suspended lanes per vreg
     std::vector<LaneMask> inflight_; //!< InFlight lanes per vreg
     std::vector<LaneMask> zero_;     //!< zero-valued lanes per vreg
-    std::unordered_map<unsigned, PendingLoad> pendings_; //!< by id
+    std::vector<std::unique_ptr<PendingLoad>> pendings_;
     unsigned next_pending_id_ = 0;
     /** reg -> the pending load that owns it, or nullptr. */
     std::vector<PendingLoad *> owner_;
@@ -413,11 +424,12 @@ struct ElimTally
  * Record load inst as a new pending load of wave (Sec 4.1): per-lane
  * addresses, the 32 B transactions in the order lanes first touch them
  * (lane by lane, registers in order within a lane), and every
- * destination lane Pending. txs is empty storage to reuse (the Lazy
- * Unit recycles it); the destination registers must be Ready.
+ * destination lane Pending. reuse is a resolved load to overwrite (the
+ * Lazy Unit recycles them; its transaction vector keeps its capacity),
+ * or null for a fresh one; the destination registers must be Ready.
  */
 PendingLoad &recordLoad(Wavefront &wave, const Instruction &inst,
-                        Tick now, std::vector<PendingLoad::Tx> txs = {});
+                        Tick now, std::unique_ptr<PendingLoad> reuse = {});
 
 /**
  * Sec 4.1's encodability rule: true iff every lane shares lane 0's upper

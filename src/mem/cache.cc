@@ -18,7 +18,8 @@ Cache::Cache(Engine &engine, StatsRegistry &stats, const std::string &name,
       mshr_limit_(params.mshrs),
       bytes_per_cycle_(std::max(1u, params.bytesPerCycle)),
       latency_(params.latency), policy_(policy), below_(below),
-      lines_(num_sets_ * assoc_),
+      lines_(num_sets_ * assoc_), mshr_line_(mshr_limit_, noLine),
+      mshr_waiters_(mshr_limit_),
       hits_(stats.counter(name + ".hits")),
       misses_(stats.counter(name + ".misses")),
       write_throughs_(stats.counter(name + ".write_throughs")),
@@ -96,74 +97,125 @@ Cache::access(const MemAccess &acc, Completion done)
     port_busy_ = start + service;
 
     if (start == now) {
-        lookup(acc, std::move(done));
+        lookup(acc, Waiter{done});
     } else {
-        engine_.schedule(start, [this, acc, cb = std::move(done)]() mutable {
-            lookup(acc, std::move(cb));
-        });
+        engine_.schedule(start,
+                         [this, acc, done]() { lookup(acc, Waiter{done}); });
     }
 }
 
 void
-Cache::lookup(const MemAccess &acc, Completion done)
+Cache::lookup(const MemAccess &acc, const Waiter &w)
 {
     if (acc.write)
-        handleWrite(acc, std::move(done));
+        handleWrite(acc, w);
     else
-        handleRead(lineAddr(acc.addr), std::move(done));
+        handleRead(lineAddr(acc.addr), w);
+}
+
+int
+Cache::findMshr(Addr line_addr) const
+{
+    if (mshrs_busy_ == 0)
+        return -1;
+    for (unsigned i = 0; i < mshr_limit_; ++i) {
+        if (mshr_line_[i] == line_addr)
+            return static_cast<int>(i);
+    }
+    return -1;
 }
 
 void
-Cache::handleRead(Addr line_addr, Completion done)
+Cache::allocateMshr(Addr line_addr, const Waiter &w)
+{
+    unsigned slot = 0;
+    while (mshr_line_[slot] != noLine)
+        ++slot;
+    mshr_line_[slot] = line_addr;
+    ++mshrs_busy_;
+    if (w.active())
+        mshr_waiters_[slot].push_back(w);
+    traceDepth();
+    below_.access(MemAccess{line_addr, line_size_, false},
+                  [this, slot]() { fill(slot); });
+}
+
+void
+Cache::park(const MemAccess &acc, Waiter w)
+{
+    // Structural stall: this is the congestion LazyCore relieves. Reads
+    // and writes both sample the wait, so the congestion distribution
+    // covers both request kinds.
+    w.enqueued = engine_.now();
+    w.sampleWait = true;
+    if (parked_count_ == parked_.size()) {
+        // Full: make the ring linear, oldest first, then double it.
+        std::rotate(parked_.begin(), parked_.begin() + parked_head_,
+                    parked_.end());
+        parked_head_ = 0;
+        parked_.resize(std::max<std::size_t>(8, 2 * parked_.size()));
+    }
+    parked_[(parked_head_ + parked_count_) % parked_.size()] =
+        Parked{acc, w};
+    ++parked_count_;
+    traceDepth();
+}
+
+void
+Cache::scheduleComplete(const Waiter &w)
+{
+    if (w.active())
+        engine_.scheduleIn(latency_,
+                           [this, waiter = w]() mutable { complete(waiter); });
+}
+
+void
+Cache::complete(Waiter &w)
+{
+    if (w.sampleWait)
+        mshr_wait_.sample(static_cast<double>(engine_.now() - w.enqueued));
+    if (w.markDirty) {
+        if (Line *line = findLine(w.line))
+            line->dirty = true;
+    }
+    if (w.done)
+        w.done();
+}
+
+void
+Cache::handleRead(Addr line_addr, const Waiter &w)
 {
     if (Line *line = findLine(line_addr)) {
         ++hits_;
         line->lruStamp = ++lru_clock_;
-        if (done)
-            engine_.scheduleIn(latency_, std::move(done));
+        scheduleComplete(w);
         return;
     }
     ++misses_;
 
-    if (auto it = mshrs_.find(line_addr); it != mshrs_.end()) {
+    if (const int slot = findMshr(line_addr); slot >= 0) {
         // Secondary miss: ride the outstanding fill.
-        if (done)
-            it->second.waiters.push_back(std::move(done));
+        if (w.active())
+            mshr_waiters_[slot].push_back(w);
         return;
     }
-
-    if (mshrs_.size() >= mshr_limit_) {
-        // Structural stall: this is the congestion LazyCore relieves.
-        const Tick enq = engine_.now();
-        pending_.emplace_back(
-            MemAccess{line_addr, line_size_, false},
-            [this, enq, cb = std::move(done)]() mutable {
-                mshr_wait_.sample(
-                    static_cast<double>(engine_.now() - enq));
-                if (cb)
-                    cb();
-            });
-        traceDepth();
+    if (mshrs_busy_ >= mshr_limit_) {
+        park(MemAccess{line_addr, line_size_, false}, w);
         return;
     }
-
-    Mshr &mshr = mshrs_[line_addr];
-    if (done)
-        mshr.waiters.push_back(std::move(done));
-    traceDepth();
-    below_.access(MemAccess{line_addr, line_size_, false},
-                  [this, line_addr]() { fill(line_addr); });
+    allocateMshr(line_addr, w);
 }
 
 void
-Cache::handleWrite(const MemAccess &acc, Completion done)
+Cache::handleWrite(const MemAccess &acc, Waiter w)
 {
     if (policy_ == WritePolicy::WriteAround) {
         // Writes bypass this level entirely; drop any stale local copy.
+        // Only write-back misses park, so w carries no flag here.
         if (Line *line = findLine(lineAddr(acc.addr)))
             line->valid = false;
         ++write_throughs_;
-        below_.access(acc, std::move(done));
+        below_.access(acc, w.done);
         return;
     }
 
@@ -173,47 +225,30 @@ Cache::handleWrite(const MemAccess &acc, Completion done)
         ++hits_;
         line->dirty = true;
         line->lruStamp = ++lru_clock_;
-        if (done)
-            engine_.scheduleIn(latency_, std::move(done));
+        scheduleComplete(w);
         return;
     }
     ++misses_;
 
-    auto mark_dirty = [this, la, cb = std::move(done)]() mutable {
-        if (Line *line = findLine(la))
-            line->dirty = true;
-        if (cb)
-            cb();
-    };
-
-    if (auto it = mshrs_.find(la); it != mshrs_.end()) {
-        it->second.waiters.push_back(std::move(mark_dirty));
+    w.line = la;
+    w.markDirty = true;
+    if (const int slot = findMshr(la); slot >= 0) {
+        mshr_waiters_[slot].push_back(w);
         return;
     }
-    if (mshrs_.size() >= mshr_limit_) {
-        // Structural stall: record the wait exactly like the read path so
-        // the congestion distribution covers both request kinds.
-        const Tick enq = engine_.now();
-        pending_.emplace_back(
-            MemAccess{acc.addr, acc.size, true},
-            [this, enq, cb = std::move(mark_dirty)]() mutable {
-                mshr_wait_.sample(
-                    static_cast<double>(engine_.now() - enq));
-                cb();
-            });
-        traceDepth();
+    if (mshrs_busy_ >= mshr_limit_) {
+        park(MemAccess{acc.addr, acc.size, true}, w);
         return;
     }
-    Mshr &mshr = mshrs_[la];
-    mshr.waiters.push_back(std::move(mark_dirty));
-    traceDepth();
-    below_.access(MemAccess{la, line_size_, false},
-                  [this, la]() { fill(la); });
+    allocateMshr(la, w);
 }
 
 void
-Cache::fill(Addr line_addr)
+Cache::fill(unsigned slot)
 {
+    const Addr line_addr = mshr_line_[slot];
+    panic_if(line_addr == noLine, "%s: fill without an MSHR",
+             name_.c_str());
     Line &victim = victimLine(line_addr);
     if (victim.valid && victim.dirty) {
         ++evictions_;
@@ -225,16 +260,12 @@ Cache::fill(Addr line_addr)
     victim.dirty = false;
     victim.lruStamp = ++lru_clock_;
 
-    auto it = mshrs_.find(line_addr);
-    panic_if(it == mshrs_.end(), "%s: fill without an MSHR",
-             name_.c_str());
-    std::vector<Completion> waiters = std::move(it->second.waiters);
-    mshrs_.erase(it);
-
-    for (auto &w : waiters) {
-        if (w)
-            engine_.scheduleIn(latency_, std::move(w));
-    }
+    std::vector<Waiter> &waiters = mshr_waiters_[slot];
+    for (const Waiter &w : waiters)
+        scheduleComplete(w);
+    waiters.clear();
+    mshr_line_[slot] = noLine;
+    --mshrs_busy_;
     drainPending();
     traceDepth();
 }
@@ -242,10 +273,11 @@ Cache::fill(Addr line_addr)
 void
 Cache::drainPending()
 {
-    while (!pending_.empty() && mshrs_.size() < mshr_limit_) {
-        auto [acc, cb] = std::move(pending_.front());
-        pending_.pop_front();
-        lookup(acc, std::move(cb));
+    while (parked_count_ != 0 && mshrs_busy_ < mshr_limit_) {
+        const Parked p = parked_[parked_head_];
+        parked_head_ = (parked_head_ + 1) % parked_.size();
+        --parked_count_;
+        lookup(p.acc, p.waiter);
         // A pending hit or coalesce does not consume an MSHR, so keep
         // draining; the loop terminates because each iteration pops.
     }
@@ -254,7 +286,7 @@ Cache::drainPending()
 void
 Cache::checkpointTo(ByteWriter &w) const
 {
-    panic_if(!mshrs_.empty() || !pending_.empty(),
+    panic_if(mshrs_busy_ != 0 || parked_count_ != 0,
              "checkpointing cache '%s' with transactions in flight",
              name_.c_str());
     w.tag("CACH");
@@ -281,7 +313,7 @@ Cache::checkpointTo(ByteWriter &w) const
 void
 Cache::restoreFrom(ByteReader &r)
 {
-    panic_if(!mshrs_.empty() || !pending_.empty(),
+    panic_if(mshrs_busy_ != 0 || parked_count_ != 0,
              "restoring cache '%s' with transactions in flight",
              name_.c_str());
     if (!r.tag("CACH"))

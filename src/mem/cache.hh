@@ -7,16 +7,16 @@
  * (L1 vector caches: writes bypass and invalidate) and write-back with
  * write-allocate (memory-side L2 banks). Misses allocate MSHRs with
  * same-line coalescing; when MSHRs are exhausted requests wait in a FIFO,
- * which is where the paper's queuing congestion comes from.
+ * which is where the paper's queuing congestion comes from. The MSHRs,
+ * their waiters and the FIFO live in flat storage that is reused, so a
+ * miss allocates nothing once the high-water marks are reached.
  */
 
 #ifndef LAZYGPU_MEM_CACHE_HH
 #define LAZYGPU_MEM_CACHE_HH
 
 #include <cstdint>
-#include <deque>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "mem/device.hh"
@@ -66,7 +66,7 @@ class Cache : public MemDevice
     bool
     saturated() const
     {
-        return mshrs_.size() >= mshr_limit_ || !pending_.empty();
+        return mshrs_busy_ >= mshr_limit_ || parked_count_ != 0;
     }
 
     /** Sample MSHR/pending occupancy into `trace` as track `track`. */
@@ -97,11 +97,33 @@ class Cache : public MemDevice
         std::uint64_t lruStamp = 0;
     };
 
-    struct Mshr
+    /**
+     * A request's completion plus what its completion event must do
+     * besides calling it: sample a parked request's MSHR wait, mark a
+     * write-allocated line dirty. Both happen when that event runs, not
+     * at fill, and a waiter with either flag gets its event even when
+     * its completion is empty.
+     */
+    struct Waiter
     {
-        Addr lineAddr = 0;
-        std::vector<Completion> waiters;
+        Completion done;
+        Tick enqueued = 0; //!< when it parked (sampleWait)
+        Addr line = 0;     //!< the line to mark (markDirty)
+        bool sampleWait = false;
+        bool markDirty = false;
+
+        bool active() const { return done || sampleWait || markDirty; }
     };
+
+    /** A request parked behind full MSHRs. */
+    struct Parked
+    {
+        MemAccess acc;
+        Waiter waiter;
+    };
+
+    /** Line address of a free MSHR slot (no line is all ones). */
+    static constexpr Addr noLine = ~Addr(0);
 
     Addr lineAddr(Addr a) const { return a & ~Addr(line_size_ - 1); }
     std::uint64_t setIndex(Addr line_addr) const;
@@ -110,10 +132,18 @@ class Cache : public MemDevice
     Line &victimLine(Addr line_addr);
 
     /** Start the tag lookup once the port accepts the request. */
-    void lookup(const MemAccess &acc, Completion done);
-    void handleRead(Addr line_addr, Completion done);
-    void handleWrite(const MemAccess &acc, Completion done);
-    void fill(Addr line_addr);
+    void lookup(const MemAccess &acc, const Waiter &w);
+    void handleRead(Addr line_addr, const Waiter &w);
+    void handleWrite(const MemAccess &acc, Waiter w);
+    /** The MSHR slot tracking line_addr, or -1. */
+    int findMshr(Addr line_addr) const;
+    /** Claim a free MSHR for line_addr and send its fill below. */
+    void allocateMshr(Addr line_addr, const Waiter &w);
+    void park(const MemAccess &acc, Waiter w);
+    /** Schedule w's completion event, latency_ from now, if active. */
+    void scheduleComplete(const Waiter &w);
+    void complete(Waiter &w);
+    void fill(unsigned slot);
     void drainPending();
 
     /** Occupancy changed: one depth record when tracing is attached. */
@@ -122,7 +152,7 @@ class Cache : public MemDevice
     {
         if (trace_) {
             trace_->emit(TraceKind::CacheDepth, track_, 0,
-                         engine_.now(), mshrs_.size(), pending_.size());
+                         engine_.now(), mshrs_busy_, parked_count_);
         }
     }
 
@@ -138,8 +168,16 @@ class Cache : public MemDevice
     MemDevice &below_;
 
     std::vector<Line> lines_; //!< num_sets_ x assoc_
-    std::unordered_map<Addr, Mshr> mshrs_;
-    std::deque<std::pair<MemAccess, Completion>> pending_;
+    // mshr_limit_ MSHR slots: the line each tracks (noLine when free)
+    // and its waiters in arrival order, each vector keeping its
+    // capacity across uses.
+    std::vector<Addr> mshr_line_;
+    std::vector<std::vector<Waiter>> mshr_waiters_;
+    unsigned mshrs_busy_ = 0;
+    // The parked-request FIFO: a ring that grows and never shrinks.
+    std::vector<Parked> parked_;
+    std::size_t parked_head_ = 0;
+    std::size_t parked_count_ = 0;
     Tick port_busy_ = 0;
     std::uint64_t lru_clock_ = 0;
     TraceSink *trace_ = nullptr;

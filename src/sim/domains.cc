@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <optional>
+#include <tuple>
 
 #include "sim/logging.hh"
 #include "sim/sim_error.hh"
@@ -85,11 +86,19 @@ DomainScheduler::injectBank(unsigned bank, Tick start, MemDevice *target,
                             const MemAccess &acc, unsigned sa,
                             Completion &&done)
 {
+    BankDomain &d = *banks_[bank];
     Completion wrapped;
     if (done) {
-        wrapped = [this, bank, sa, done = std::move(done)]() mutable {
-            respond(bank, sa, std::move(done));
-        };
+        unsigned slot;
+        if (d.free_slots.empty()) {
+            slot = static_cast<unsigned>(d.slots.size());
+            d.slots.push_back(InFlight{sa, done});
+        } else {
+            slot = d.free_slots.back();
+            d.free_slots.pop_back();
+            d.slots[slot] = InFlight{sa, done};
+        }
+        wrapped = [this, bank, slot]() { respond(bank, slot); };
     }
     // A bank may be locally ahead of the request tick: when an SA went
     // idle mid-window and the barrier refill re-activated it behind the
@@ -97,26 +106,26 @@ DomainScheduler::injectBank(unsigned bank, Tick start, MemDevice *target,
     // ran further. Clamping to the bank's own clock keeps the event out
     // of the domain's past; it happens at the barrier, on coordinator
     // state only, so it is as deterministic as the merge order itself.
-    Engine &be = banks_[bank]->engine;
-    const Tick when = std::max(start, be.now());
-    // Captures: target (8) + acc (16) + wrapped (32) = 56 bytes — fits
-    // the engine's 64-byte inline event record.
-    be.schedule(when,
-                [target, acc, wrapped = std::move(wrapped)]() mutable {
-                    target->access(acc, std::move(wrapped));
-                });
+    const Tick when = std::max(start, d.engine.now());
+    // Captures: target (8) + acc (16) + wrapped (64) = 88 bytes, inside
+    // the engine's inline event record.
+    d.engine.schedule(when, [target, acc, wrapped]() {
+        target->access(acc, wrapped);
+    });
 }
 
 void
-DomainScheduler::respond(unsigned bank, unsigned sa, Completion &&done)
+DomainScheduler::respond(unsigned bank, unsigned slot)
 {
     BankDomain &d = *banks_[bank];
+    const InFlight &f = d.slots[slot];
     // Delivery tick: the crossing back to the SA pays the same fixed
     // hop latency that defines the lookahead, which is exactly what
     // guarantees the delivery lands in the *next* window (>= any SA
     // domain's current time).
     d.responses.push_back(Response{d.engine.now() + opts_.lookahead,
-                                   d.next_seq++, sa, std::move(done)});
+                                   d.next_seq++, f.sa, f.done});
+    d.free_slots.push_back(slot);
 }
 
 void
@@ -134,11 +143,8 @@ DomainScheduler::routeRequests()
     // router) sees a deterministic request sequence.
     std::sort(merge_requests_.begin(), merge_requests_.end(),
               [](const auto &a, const auto &b) {
-                  if (a.second.when != b.second.when)
-                      return a.second.when < b.second.when;
-                  if (a.first != b.first)
-                      return a.first < b.first;
-                  return a.second.seq < b.second.seq;
+                  return std::tie(a.second.when, a.first, a.second.seq) <
+                         std::tie(b.second.when, b.first, b.second.seq);
               });
     for (auto &[s, r] : merge_requests_)
         routers_[r.router](s, r.when, r.acc, std::move(r.done));
@@ -159,21 +165,17 @@ DomainScheduler::deliverResponses()
     // FIFO-within-tick sequence numbers deterministically.
     std::sort(merge_responses_.begin(), merge_responses_.end(),
               [](const auto &a, const auto &b) {
-                  if (a.second.sa != b.second.sa)
-                      return a.second.sa < b.second.sa;
-                  if (a.second.when != b.second.when)
-                      return a.second.when < b.second.when;
-                  if (a.first != b.first)
-                      return a.first < b.first;
-                  return a.second.seq < b.second.seq;
+                  return std::tie(a.second.sa, a.second.when, a.first,
+                                  a.second.seq) <
+                         std::tie(b.second.sa, b.second.when, b.first,
+                                  b.second.seq);
               });
     for (auto &[b, r] : merge_responses_) {
         // The +lookahead crossing latency puts r.when at or past every
         // SA's window end, but clamp anyway (see injectBank) so the
         // maxTick-saturated window edge can never schedule in the past.
         Engine &se = sa_[r.sa]->engine;
-        se.schedule(std::max(r.when, se.now()),
-                    [done = std::move(r.done)]() mutable { done(); });
+        se.schedule(std::max(r.when, se.now()), r.done);
     }
     merge_responses_.clear();
 }
@@ -409,6 +411,8 @@ DomainScheduler::reset()
         d->engine.reset();
         d->responses.clear();
         d->next_seq = 0;
+        d->slots.clear();
+        d->free_slots.clear();
     }
     routers_.clear();
     barrier_hook_ = nullptr;

@@ -128,9 +128,10 @@ class DomainScheduler
     /**
      * Schedule `target->access(acc, <wrapped done>)` at tick start in
      * bank domain `bank`. Only valid from a RouteFn (coordinator, at a
-     * barrier). The completion is wrapped so that when the bank-side
-     * device finishes, the response is buffered and delivered into SA
-     * `sa`'s wheel at completion tick + lookahead.
+     * barrier). The completion waits in the bank's slot table; the
+     * bank-side device gets one naming its slot, so when it finishes
+     * the response is buffered and delivered into SA `sa`'s wheel at
+     * completion tick + lookahead.
      */
     void injectBank(unsigned bank, Tick start, MemDevice *target,
                     const MemAccess &acc, unsigned sa, Completion &&done);
@@ -236,17 +237,30 @@ class DomainScheduler
         std::uint64_t next_seq = 0;
     };
 
+    /** A request injected into a bank domain, awaiting its response. */
+    struct InFlight
+    {
+        unsigned sa = 0;
+        Completion done;
+    };
+
     struct BankDomain
     {
         Engine engine;
         // Single-writer, as above but written by the bank worker.
         std::vector<Response> responses;
         std::uint64_t next_seq = 0;
+        // The boundary slot table: injectBank fills a slot (the
+        // coordinator, at a barrier) and respond frees it (this bank's
+        // worker, during its phase). The barrier orders the two, so
+        // neither needs a lock.
+        std::vector<InFlight> slots;
+        std::vector<unsigned> free_slots;
     };
 
     void enqueueRequest(unsigned sa, unsigned router, const MemAccess &acc,
                         Completion &&done);
-    void respond(unsigned bank, unsigned sa, Completion &&done);
+    void respond(unsigned bank, unsigned slot);
 
     /** Run one phase (all SA domains or all bank domains) to `end`. */
     void runPhase(bool sa_phase, Tick end, Tick limit);

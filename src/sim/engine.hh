@@ -357,8 +357,12 @@ class Engine
     /** Registered clocked components currently non-quiescent. */
     unsigned activeClocked() const { return active_clocked_; }
 
-    /** Inline payload capacity of one pooled event record, in bytes. */
-    static constexpr std::size_t inlineEventBytes = 64;
+    /**
+     * Inline payload capacity of one pooled event record, in bytes:
+     * the largest simulator event, a cache waiter's completion event
+     * (the cache pointer plus Cache::Waiter, which holds a Completion).
+     */
+    static constexpr std::size_t inlineEventBytes = 96;
 
     /** Scheduler iterations between watchdog polls (power of two). */
     static constexpr unsigned pollInterval = 1024;

@@ -21,9 +21,14 @@ checkWavefront(const Wavefront &wave, ExecMode mode)
     // per-register, from the wavefront's owner map. A register with any
     // busy word in some load's transactions must be owned by exactly
     // that load -- a stale word surviving past eliminateRegister is how
-    // responses corrupt a newer writer's scoreboard state.
-    std::vector<const PendingLoad *> holder(nvregs, nullptr);
-    for (const auto &[id, pl] : wave.pendings()) {
+    // responses corrupt a newer writer's scoreboard state. The holder
+    // table is reused across calls, so the check allocates nothing once
+    // it has seen the widest kernel.
+    static thread_local std::vector<const PendingLoad *> holder;
+    holder.assign(nvregs, nullptr);
+    for (const auto &p : wave.pendings()) {
+        const PendingLoad &pl = *p;
+        const unsigned id = pl.id;
         panic_if(pl.firstDst + pl.numRegs > nvregs,
                  "wid %u: pending load %u claims vreg %u of %u", wid, id,
                  pl.firstDst + pl.numRegs - 1, nvregs);
@@ -77,7 +82,9 @@ checkWavefront(const Wavefront &wave, ExecMode mode)
              toString(mode).c_str());
 
     unsigned inflight_txs = 0;
-    for (const auto &[id, pl] : wave.pendings()) {
+    for (const auto &p : wave.pendings()) {
+        const PendingLoad &pl = *p;
+        const unsigned id = pl.id;
         inflight_txs += pl.inflightTxs;
         unsigned words_left = 0;
         for (const auto &tx : pl.txs) {

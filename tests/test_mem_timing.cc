@@ -7,6 +7,10 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <string>
+#include <type_traits>
+
 #include "mem/cache.hh"
 #include "mem/dram.hh"
 #include "mem/hierarchy.hh"
@@ -16,6 +20,40 @@ namespace lazygpu
 {
 namespace
 {
+
+// Completion's contract, checked at compile time: a fixed inline
+// callable that is copied as bytes, so a capture that does not fit or
+// owns resources must not convert to one.
+TEST(Completion, HoldsOnlySmallTriviallyCopyableCallables)
+{
+    static_assert(std::is_trivially_copyable_v<Completion>);
+    static_assert(sizeof(Completion) <= 64);
+
+    const std::array<std::uint64_t, 7> seven{};
+    const auto fits = [seven]() { (void)seven; };
+    static_assert(sizeof(fits) == Completion::capacity);
+    static_assert(std::is_constructible_v<Completion, decltype(fits)>);
+
+    const std::array<std::uint64_t, 8> eight{};
+    const auto too_big = [eight]() { (void)eight; };
+    static_assert(sizeof(too_big) == 64);
+    static_assert(!std::is_constructible_v<Completion, decltype(too_big)>);
+
+    const std::string name;
+    const auto owning = [name]() { (void)name; };
+    static_assert(!std::is_constructible_v<Completion, decltype(owning)>);
+
+    // A copy calls the same capture; an empty completion tests false.
+    int calls = 0;
+    Completion c = [&calls]() { ++calls; };
+    Completion copy = c;
+    c();
+    copy();
+    EXPECT_EQ(2, calls);
+    EXPECT_TRUE(c);
+    EXPECT_FALSE(Completion{});
+    EXPECT_FALSE(Completion{nullptr});
+}
 
 struct Fixture
 {
@@ -163,6 +201,75 @@ TEST_F(CacheFixture, MshrOverflowSamplesWaitOnBothPaths)
     f_.engine.run();
     EXPECT_EQ(4, completions);
     EXPECT_EQ(2u, f_.stats.dist("c.mshr_wait").count());
+}
+
+TEST_F(CacheFixture, ParkedNullCompletionsStillGetTheirEvent)
+{
+    int completions = 0;
+    // Two read misses claim both MSHRs (DRAM fills at 102 and 104);
+    // then a read (parked at 2) and a write (parked at 3), both with
+    // null completions, wait for them. Each parked request still gets
+    // its own completion event, 10 cycles after its fill (204 -> 214,
+    // 206 -> 216): that is where its wait is sampled and the written
+    // line marked dirty. Eleven events: three delayed lookups, four
+    // fills, four completions.
+    for (Addr a = 0; a < 2; ++a) {
+        cache_.access(MemAccess{0x6000 + a * 64, 32, false},
+                      [&]() { ++completions; });
+    }
+    cache_.access(MemAccess{0x6080, 32, false}, nullptr);
+    cache_.access(MemAccess{0x60C0, 32, true}, nullptr);
+    f_.engine.run();
+    EXPECT_EQ(2, completions);
+    EXPECT_EQ(11u, f_.engine.eventsExecuted());
+    const Distribution &wait = f_.stats.dist("c.mshr_wait");
+    EXPECT_EQ(2u, wait.count());
+    EXPECT_EQ(double((214 - 2) + (216 - 3)), wait.sum());
+    EXPECT_EQ(4u, f_.stats.counter("d.reads").value());
+    EXPECT_EQ(0u, f_.stats.counter("d.writes").value());
+}
+
+TEST_F(CacheFixture, ParkedWriteAllocateLineWritesBackOnce)
+{
+    // Both MSHRs busy, so the write to 0x60C0 parks; it allocates once
+    // they free and its line ends dirty.
+    for (Addr a = 0; a < 2; ++a)
+        cache_.access(MemAccess{0x6000 + a * 64, 32, false}, nullptr);
+    cache_.access(MemAccess{0x60C0, 32, true}, nullptr);
+    f_.engine.run();
+    EXPECT_TRUE(cache_.contains(0x60C0));
+    EXPECT_EQ(0u, f_.stats.counter("d.writes").value());
+    // Four more lines of its set (0x400 apart) push it out: exactly one
+    // writeback.
+    for (Addr w = 1; w <= 4; ++w)
+        timedAccess(f_.engine, cache_, 0x60C0 + w * 0x400);
+    EXPECT_FALSE(cache_.contains(0x60C0));
+    EXPECT_EQ(1u, f_.stats.counter("c.evictions").value());
+    EXPECT_EQ(1u, f_.stats.counter("d.writes").value());
+}
+
+TEST_F(CacheFixture, WriteAllocateMarksDirtyAtItsCompletionNotAtFill)
+{
+    // Three lines of set 0 resident, one way free.
+    for (Addr w = 0; w < 3; ++w)
+        timedAccess(f_.engine, cache_, 0x10000 + w * 0x400);
+    const Tick t0 = f_.engine.now();
+    // A write miss to a fourth line of the set fills at t0 + 102, and
+    // a read miss to a fifth at t0 + 104. In between, probes make the
+    // written line the set's LRU, so the second fill evicts it before
+    // its completion event (t0 + 112) would have marked it dirty: the
+    // line leaves clean and nothing is written back.
+    cache_.access(MemAccess{0x10C00, 32, true}, nullptr);
+    cache_.access(MemAccess{0x11000, 32, false}, nullptr);
+    f_.engine.schedule(t0 + 103, [this]() {
+        for (Addr w = 0; w < 3; ++w)
+            EXPECT_TRUE(cache_.probe(0x10000 + w * 0x400));
+    });
+    f_.engine.run();
+    EXPECT_FALSE(cache_.contains(0x10C00));
+    EXPECT_TRUE(cache_.contains(0x11000));
+    EXPECT_EQ(0u, f_.stats.counter("c.evictions").value());
+    EXPECT_EQ(0u, f_.stats.counter("d.writes").value());
 }
 
 TEST_F(CacheFixture, LruEvictsTheColdestWay)
